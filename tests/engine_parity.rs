@@ -17,7 +17,7 @@
 //! To regenerate after an *intentional* behaviour change:
 //! `cargo test --test engine_parity -- --ignored --nocapture`.
 
-use stack2d::{Counter2D, Params, Queue2D, SearchConfig, SearchPolicy, Stack2D};
+use stack2d::{Counter2D, MetricsSnapshot, Params, Queue2D, SearchConfig, SearchPolicy, Stack2D};
 
 /// FNV-1a over a value stream: collapses a pop sequence into one word
 /// without ordering insensitivity (a sum would miss reorderings).
@@ -33,51 +33,120 @@ type Fingerprint = (u64, u64, u64, u64, u64);
 /// Seeded single-threaded churn: interleaved push/pop, then a full drain.
 /// Single-threaded runs have no CAS races, so the fingerprint is exact.
 fn stack_fingerprint(cfg: SearchConfig) -> Fingerprint {
-    let stack = Stack2D::with_config(cfg);
-    let mut h = stack.handle_seeded(0xA5A5);
-    let mut acc = FNV_SEED;
-    for i in 0..2_000u64 {
-        h.push(i);
-        if i % 3 == 0 {
-            if let Some(v) = h.pop() {
-                acc = fnv(acc, v);
-            }
-        }
-    }
-    while let Some(v) = h.pop() {
-        acc = fnv(acc, v);
-    }
-    let m = stack.metrics();
-    (acc, m.probes, m.shifts_up, m.shifts_down, m.empty_pops)
+    stack_run(cfg, false).0
 }
 
 fn queue_fingerprint(params: Params) -> Fingerprint {
-    let queue = Queue2D::new(params);
-    let mut h = queue.handle_seeded(0xA5A5);
+    queue_run(params, false).0
+}
+
+fn counter_fingerprint(params: Params) -> Fingerprint {
+    counter_run(params, false).0
+}
+
+fn fingerprint(acc: u64, m: &MetricsSnapshot) -> Fingerprint {
+    (acc, m.probes, m.shifts_up, m.shifts_down, m.empty_pops)
+}
+
+/// The stack workload, through the singular ops or (`batched`) through
+/// their batch-of-one forms `push_n(vec![v])` / `pop_n(1)`.
+fn stack_run(cfg: SearchConfig, batched: bool) -> (Fingerprint, MetricsSnapshot) {
+    let stack = Stack2D::with_config(cfg);
+    let mut h = stack.handle_seeded(0xA5A5);
+    let pop = |h: &mut stack2d::Handle2D<'_, u64>| {
+        if batched {
+            h.pop_n(1).pop()
+        } else {
+            h.pop()
+        }
+    };
     let mut acc = FNV_SEED;
     for i in 0..2_000u64 {
-        h.enqueue(i);
+        if batched {
+            h.push_n(vec![i]);
+        } else {
+            h.push(i);
+        }
         if i % 3 == 0 {
-            if let Some(v) = h.dequeue() {
+            if let Some(v) = pop(&mut h) {
                 acc = fnv(acc, v);
             }
         }
     }
-    while let Some(v) = h.dequeue() {
+    while let Some(v) = pop(&mut h) {
         acc = fnv(acc, v);
     }
-    let m = queue.metrics();
-    (acc, m.probes, m.shifts_up, m.shifts_down, m.empty_pops)
+    drop(h);
+    let m = stack.metrics();
+    (fingerprint(acc, &m), m)
 }
 
-fn counter_fingerprint(params: Params) -> Fingerprint {
+/// The queue workload, singular or through `enqueue_n` / `dequeue_n(1)`.
+fn queue_run(params: Params, batched: bool) -> (Fingerprint, MetricsSnapshot) {
+    let queue = Queue2D::new(params);
+    let mut h = queue.handle_seeded(0xA5A5);
+    let dequeue = |h: &mut stack2d::QueueHandle<'_, u64>| {
+        if batched {
+            h.dequeue_n(1).pop()
+        } else {
+            h.dequeue()
+        }
+    };
+    let mut acc = FNV_SEED;
+    for i in 0..2_000u64 {
+        if batched {
+            h.enqueue_n(vec![i]);
+        } else {
+            h.enqueue(i);
+        }
+        if i % 3 == 0 {
+            if let Some(v) = dequeue(&mut h) {
+                acc = fnv(acc, v);
+            }
+        }
+    }
+    while let Some(v) = dequeue(&mut h) {
+        acc = fnv(acc, v);
+    }
+    drop(h);
+    let m = queue.metrics();
+    (fingerprint(acc, &m), m)
+}
+
+/// The counter workload, singular or through `add_n(1)`.
+fn counter_run(params: Params, batched: bool) -> (Fingerprint, MetricsSnapshot) {
     let counter = Counter2D::new(params);
     let mut h = counter.handle_seeded(0xA5A5);
     for _ in 0..2_000u64 {
-        h.increment();
+        if batched {
+            h.add_n(1);
+        } else {
+            h.increment();
+        }
     }
+    drop(h);
     let m = counter.metrics();
-    (counter.value() as u64, m.probes, m.shifts_up, m.shifts_down, m.empty_pops)
+    (fingerprint(counter.value() as u64, &m), m)
+}
+
+/// Batch-of-one parity: `(fingerprint, metrics)` of a batched replay must
+/// equal the singular run's, except that every batched op also counts in
+/// `batched_ops`.
+fn assert_batch_of_one_parity(
+    case: &str,
+    singular: (Fingerprint, MetricsSnapshot),
+    batched: (Fingerprint, MetricsSnapshot),
+    golden: Fingerprint,
+) {
+    assert_eq!(singular.0, golden, "{case}: singular run diverged from its golden");
+    assert_eq!(batched.0, golden, "{case}: batch-of-one replay diverged from the golden");
+    assert_eq!(singular.1.batched_ops, 0, "{case}: singular ops counted as batched");
+    assert_eq!(batched.1.batched_ops, batched.1.ops, "{case}: every *_n op is a batched op");
+    assert_eq!(
+        MetricsSnapshot { batched_ops: 0, ..batched.1 },
+        singular.1,
+        "{case}: batch-of-one metrics differ from the singular run beyond batched_ops"
+    );
 }
 
 fn p(w: usize, d: usize, s: usize) -> Params {
@@ -154,6 +223,27 @@ fn counter_probe_sequences_match_pre_engine_goldens() {
     for (params, want) in [p(4, 2, 1), p(8, 4, 2)].into_iter().zip(COUNTER_GOLDEN) {
         let got = counter_fingerprint(params);
         assert_eq!(got, want, "counter {params:?}: probe sequence diverged from PR 3/4 sweep");
+    }
+}
+
+/// Every golden case, replayed through the batch-of-one forms of the ops
+/// (`push_n(vec![v])`/`pop_n(1)`, `enqueue_n`/`dequeue_n(1)`, `add_n(1)`):
+/// a batch of one must search exactly like the singular op.
+#[test]
+fn batch_of_one_matches_singular_goldens() {
+    for (name, cfg) in stack_cases() {
+        let (_, want) = STACK_GOLDEN.iter().find(|(n, _)| *n == name).expect("golden entry");
+        let case = format!("stack {name}");
+        assert_batch_of_one_parity(&case, stack_run(cfg, false), stack_run(cfg, true), *want);
+    }
+    for (params, want) in [p(4, 2, 1), p(8, 4, 2)].into_iter().zip(QUEUE_GOLDEN) {
+        let case = format!("queue {params:?}");
+        assert_batch_of_one_parity(&case, queue_run(params, false), queue_run(params, true), want);
+    }
+    for (params, want) in [p(4, 2, 1), p(8, 4, 2)].into_iter().zip(COUNTER_GOLDEN) {
+        let case = format!("counter {params:?}");
+        let (singular, batched) = (counter_run(params, false), counter_run(params, true));
+        assert_batch_of_one_parity(&case, singular, batched, want);
     }
 }
 
