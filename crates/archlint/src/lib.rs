@@ -35,6 +35,7 @@
 
 pub mod config;
 pub mod lexer;
+pub mod loc;
 pub mod report;
 pub mod rules;
 
@@ -47,6 +48,8 @@ use std::path::{Path, PathBuf};
 pub struct Scan {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
+    /// Non-test code lines per tracked crate ([`loc::tracked`]).
+    pub code_lines: Vec<(&'static str, usize)>,
 }
 
 /// Runs every rule (or just `only`, if non-empty) over the tree at
@@ -87,7 +90,7 @@ pub fn run(root: &Path, only: &[String]) -> Result<Scan, ConfigError> {
         }
     }
     findings.sort_by(|a, b| (a.rule, &a.file, a.line).cmp(&(b.rule, &b.file, b.line)));
-    Ok(Scan { findings, files_scanned })
+    Ok(Scan { findings, files_scanned, code_lines: loc::tracked(root) })
 }
 
 /// Collects the `.rs` files the rules may apply to: everything under

@@ -72,6 +72,7 @@ fn main() -> ExitCode {
     };
 
     print!("{}", stack2d_archlint::report::human(&scan.findings, scan.files_scanned));
+    print!("{}", stack2d_archlint::report::code_lines(&scan.code_lines));
     if let Some(path) = json_out {
         let doc = stack2d_archlint::report::json(&scan.findings, scan.files_scanned);
         if path == "-" {

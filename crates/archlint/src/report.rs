@@ -50,6 +50,16 @@ pub fn human(findings: &[Finding], files_scanned: usize) -> String {
     out
 }
 
+/// Renders the non-test code line counts as one line (empty when no
+/// tracked crate exists under the scanned root).
+pub fn code_lines(counts: &[(&str, usize)]) -> String {
+    if counts.is_empty() {
+        return String::new();
+    }
+    let parts: Vec<String> = counts.iter().map(|(k, n)| format!("{k} {n}")).collect();
+    format!("archlint: non-test code lines — {}\n", parts.join(", "))
+}
+
 /// Renders the findings as a JSON document:
 /// `{"findings": [...], "counts": {...}, "files_scanned": N}`.
 pub fn json(findings: &[Finding], files_scanned: usize) -> String {
@@ -126,6 +136,13 @@ mod tests {
     fn human_table_lists_location() {
         let s = human(&[finding()], 1);
         assert!(s.contains("crates/core/src/stack.rs:7"), "{s}");
+    }
+
+    #[test]
+    fn code_lines_line_lists_each_crate() {
+        assert_eq!(code_lines(&[]), "");
+        let s = code_lines(&[("crates/core", 12), ("crates/server", 3)]);
+        assert_eq!(s, "archlint: non-test code lines — crates/core 12, crates/server 3\n");
     }
 
     #[test]

@@ -62,6 +62,7 @@ pub fn registry() -> &'static [Rule] {
                     "crates/core/src/stack.rs"
                         | "crates/core/src/queue2d.rs"
                         | "crates/core/src/counter2d.rs"
+                        | "crates/core/src/window2d.rs"
                 )
             },
             check: check_no_bespoke_sweeps,
@@ -97,6 +98,7 @@ pub fn registry() -> &'static [Rule] {
                     "crates/core/src/engine.rs"
                         | "crates/core/src/substack.rs"
                         | "crates/core/src/window.rs"
+                        | "crates/core/src/window2d.rs"
                         | "crates/core/src/queue2d.rs"
                         | "crates/core/src/counter2d.rs"
                         | "crates/server/src/protocol.rs"

@@ -33,21 +33,15 @@ use crate::params::{Params, ParamsError};
 use crate::search::{SearchConfig, SearchPolicy};
 use crate::sync::Arc;
 use crate::telemetry::{Recorder, DEFAULT_SAMPLE_EVERY};
-use crate::{Counter2D, Queue2D, Stack2D};
+use crate::window2d::Sealed;
 
-mod sealed {
-    pub trait Sealed {}
-    impl<T> Sealed for crate::Stack2D<T> {}
-    impl<T> Sealed for crate::Queue2D<T> {}
-    impl Sealed for crate::Counter2D {}
-}
-
-/// A structure [`Builder`] can construct: the three windowed structures.
+/// A structure [`Builder`] can construct: the windowed structures
+/// ([`Window2D`](crate::window2d::Window2D) over any of its cells).
 ///
 /// Sealed — the builder's vocabulary (window parameters, search policy,
 /// elastic capacity, handle seed) is specific to the 2D-window design, so
 /// outside implementations would have nothing to construct from it.
-pub trait Buildable: sealed::Sealed + Sized {
+pub trait Buildable: Sealed + Sized {
     /// Constructs the structure from validated builder output.
     #[doc(hidden)]
     fn from_builder(config: SearchConfig, seed: Option<u64>) -> Self;
@@ -63,54 +57,16 @@ pub trait Buildable: sealed::Sealed + Sized {
     /// covering sweep ([`SearchPolicy::RoundRobinOnly`]) for the queue and
     /// counter, whose default probe counts are pinned by regression tests.
     #[doc(hidden)]
-    fn default_policy() -> SearchPolicy {
-        SearchPolicy::default()
-    }
+    fn default_policy() -> SearchPolicy;
 }
 
-impl<T> Buildable for Stack2D<T> {
-    fn from_builder(config: SearchConfig, seed: Option<u64>) -> Self {
-        Stack2D::from_builder_parts(config, seed)
-    }
-
-    fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>, sample_every: u32) {
-        Stack2D::attach_recorder_parts(self, recorder, sample_every);
-    }
-}
-
-impl<T> Buildable for Queue2D<T> {
-    fn from_builder(config: SearchConfig, seed: Option<u64>) -> Self {
-        Queue2D::from_builder_parts(config, seed)
-    }
-
-    fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>, sample_every: u32) {
-        Queue2D::attach_recorder_parts(self, recorder, sample_every);
-    }
-
-    fn default_policy() -> SearchPolicy {
-        SearchPolicy::RoundRobinOnly
-    }
-}
-
-impl Buildable for Counter2D {
-    fn from_builder(config: SearchConfig, seed: Option<u64>) -> Self {
-        Counter2D::from_builder_parts(config, seed)
-    }
-
-    fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>, sample_every: u32) {
-        Counter2D::attach_recorder_parts(self, recorder, sample_every);
-    }
-
-    fn default_policy() -> SearchPolicy {
-        SearchPolicy::RoundRobinOnly
-    }
-}
-
-/// A validated builder for a 2D-window structure (`S` is [`Stack2D`],
-/// [`Queue2D`] or [`Counter2D`]).
+/// A validated builder for a 2D-window structure (`S` is
+/// [`Stack2D`](crate::Stack2D), [`Queue2D`](crate::Queue2D) or
+/// [`Counter2D`](crate::Counter2D)).
 ///
-/// Obtain one through [`Stack2D::builder`], [`Queue2D::builder`] or
-/// [`Counter2D::builder`]; chain window parameters (or a derived preset),
+/// Obtain one through
+/// [`Window2D::builder`](crate::window2d::Window2D::builder) (e.g.
+/// `Stack2D::builder()`); chain window parameters (or a derived preset),
 /// optionally an elastic capacity and a deterministic handle seed, and
 /// [`build`](Builder::build). Invalid combinations are reported as a
 /// [`ParamsError`] at `build()` — never as a panic, and never earlier.
@@ -307,9 +263,9 @@ impl<S: Buildable> Builder<S> {
     /// Replaces the window-search policy (how a thread walks the
     /// sub-structure array looking for a valid cell). Defaults to the
     /// structure's historical behaviour: the paper's two-phase search on
-    /// [`Stack2D`], the plain covering sweep
-    /// ([`SearchPolicy::RoundRobinOnly`]) on [`Queue2D`] and
-    /// [`Counter2D`]. All three policies run on all three structures —
+    /// [`Stack2D`](crate::Stack2D), the plain covering sweep
+    /// ([`SearchPolicy::RoundRobinOnly`]) on [`Queue2D`](crate::Queue2D)
+    /// and [`Counter2D`](crate::Counter2D). All three policies run on all three structures —
     /// the unified search engine is what the ablation experiments toggle.
     ///
     /// # Examples
@@ -520,6 +476,7 @@ impl<S: Buildable> Builder<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Counter2D, Queue2D, Stack2D};
 
     #[test]
     fn defaults_match_params_default() {

@@ -22,9 +22,9 @@
 //! Since PR 3 the counter shares the stack's elastic machinery
 //! (`ElasticWindow`): the sub-counter array is pre-sized at a capacity
 //! ([`Builder::elastic_capacity`](crate::Builder::elastic_capacity)) and
-//! [`Counter2D::retune`] hot-swaps the descriptor. A width shrink stops
+//! [`Window2D::retune`] hot-swaps the descriptor. A width shrink stops
 //! increments into the retired tail immediately and *commits*
-//! ([`Counter2D::try_commit_shrink`]) once the epoch fence proves every
+//! ([`Window2D::try_commit_shrink`]) once the epoch fence proves every
 //! pre-shrink increment finished; the commit **drains** the retired
 //! sub-counters — their frozen values move into a side accumulator folded
 //! into [`Counter2D::value`] — so a later width grow re-activates them at
@@ -46,18 +46,20 @@ use core::fmt;
 use crossbeam_epoch as epoch;
 use crossbeam_utils::CachePadded;
 
-use crate::builder::Builder;
-use crate::engine::{Probe, ProbeTarget, Search};
-use crate::metrics::{CounterHub, MetricsSnapshot, OpCounters};
-use crate::params::Params;
-use crate::rng::{HandleSeeder, HopRng};
+use crate::engine::{Probe, ProbeTarget};
 use crate::search::{SearchConfig, SearchPolicy};
-use crate::sync::Arc;
-use crate::telemetry::{clock, OpKind, Recorder, Sampler, ShiftDir, ShrinkPhase, TelemetryHook};
-use crate::traits::{ElasticTarget, OpsHandle, RelaxedOps};
-use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
+use crate::telemetry::OpKind;
+use crate::window::{Lane, WindowDesc, WindowInfo};
+use crate::window2d::{Cells, Sealed, Window2D, WindowHandle};
 
 /// A relaxed, window-bounded sharded counter.
+///
+/// Its [`k_bound`](Window2D::k_bound) is the read-error bound of a
+/// quiescent scanning [`value`](Counter2D::value),
+/// `(depth + shift) * (pop_width - 1)` — each of the other active
+/// sub-counters is within the window spread of the one being read (see
+/// the module docs). It is computed over the pop span so it stays honest
+/// while a width shrink is pending; a `width = 1` counter is exact (`0`).
 ///
 /// # Examples
 ///
@@ -71,157 +73,52 @@ use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
 /// }
 /// assert_eq!(c.value(), 1000);
 /// ```
-pub struct Counter2D {
+pub type Counter2D = Window2D<CounterCells>;
+
+/// Per-thread handle to a [`Counter2D`].
+pub type CounterHandle<'c> = WindowHandle<'c, CounterCells>;
+
+/// The cells of a [`Counter2D`]: the sub-counter array, its window lane
+/// and the accumulator shrink commits drain retired sub-counters into.
+pub struct CounterCells {
     /// Sub-counters, allocated once at capacity; increments target the
     /// window's push span.
     subs: Box<[CachePadded<AtomicUsize>]>,
-    global: CachePadded<AtomicUsize>,
-    /// The live window descriptor, hot-swapped by [`Counter2D::retune`].
-    window: ElasticWindow,
+    lane: Lane,
     /// Counts folded out of retired sub-counters at shrink commits.
     drained: CachePadded<AtomicUsize>,
-    config: SearchConfig,
-    counters: CounterHub,
-    seeder: HandleSeeder,
-    telemetry: TelemetryHook,
 }
 
-impl Counter2D {
-    /// Starts a validated [`Builder`] — the preferred construction path.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stack2d::Counter2D;
-    ///
-    /// let c = Counter2D::builder().width(4).depth(8).shift(4).build().unwrap();
-    /// c.increment();
-    /// assert_eq!(c.value(), 1);
-    /// ```
-    pub fn builder() -> Builder<Self> {
-        Builder::new()
+impl Sealed for CounterCells {}
+
+impl Cells for CounterCells {
+    type Item = u64;
+    const NAME: &'static str = "2d-counter";
+    const TARGET_NAME: &'static str = "2d-counter";
+    const HANDLE_NAME: &'static str = "CounterHandle";
+
+    fn default_policy() -> SearchPolicy {
+        SearchPolicy::RoundRobinOnly
     }
 
-    /// Creates a counter with the given window parameters, the default
-    /// search behaviour (plain covering sweep) and no elastic headroom
-    /// (capacity = width).
-    pub fn new(params: Params) -> Self {
-        Self::with_config(SearchConfig::new(params).search_policy(SearchPolicy::RoundRobinOnly))
-    }
-
-    /// Creates a counter with explicit search-policy configuration (used
-    /// by the ablation experiments; note that [`SearchConfig::new`]'s
-    /// policy default is the *paper's* two-phase search, while
-    /// [`Counter2D::new`] and the builder default to the counter's
-    /// historical [`SearchPolicy::RoundRobinOnly`] sweep).
-    pub fn with_config(config: SearchConfig) -> Self {
-        Self::from_builder_parts(config, None)
-    }
-
-    pub(crate) fn from_builder_parts(config: SearchConfig, seed: Option<u64>) -> Self {
-        let params = config.params();
-        let capacity = config.capacity();
-        Counter2D {
-            subs: (0..capacity).map(|_| CachePadded::new(AtomicUsize::new(0))).collect(),
-            global: CachePadded::new(AtomicUsize::new(params.initial_global())),
-            window: ElasticWindow::new(params),
+    fn new(config: &SearchConfig) -> Self {
+        CounterCells {
+            subs: (0..config.capacity()).map(|_| CachePadded::new(AtomicUsize::new(0))).collect(),
+            lane: Lane::new(config.params()),
             drained: CachePadded::new(AtomicUsize::new(0)),
-            config,
-            counters: CounterHub::default(),
-            seeder: HandleSeeder::new(seed),
-            telemetry: TelemetryHook::none(),
         }
     }
 
-    pub(crate) fn attach_recorder_parts(&mut self, recorder: Arc<dyn Recorder>, sample_every: u32) {
-        self.telemetry.attach(recorder, sample_every);
+    fn produce_lane(&self) -> &Lane {
+        &self.lane
     }
 
-    /// The attached telemetry sink, if any (see
-    /// [`Builder::recorder`](crate::Builder::recorder)).
-    #[inline]
-    pub fn recorder(&self) -> Option<&dyn Recorder> {
-        self.telemetry.recorder()
-    }
-
-    /// Whether this counter was built with elastic headroom (capacity
-    /// beyond the initial width), i.e. is meant to be retuned online.
-    #[inline]
-    pub fn is_elastic(&self) -> bool {
-        self.capacity() > self.config.params().width()
-    }
-
-    /// The construction-time configuration (search policy knobs and the
-    /// *initial* window parameters; for the live parameters after retunes
-    /// see [`Counter2D::window`]).
-    #[inline]
-    pub fn config(&self) -> SearchConfig {
-        self.config
-    }
-
-    /// The window parameters currently in force.
-    #[inline]
-    pub fn params(&self) -> Params {
-        self.window.info().params()
-    }
-
-    /// Number of sub-counters allocated at construction — the ceiling for
-    /// [`Counter2D::retune`]d widths.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// A consistent snapshot of the live window descriptor.
-    pub fn window(&self) -> WindowInfo {
-        self.window.info()
-    }
-
-    /// A snapshot of the counter's operation counters (probes, lost
-    /// CASes, window shifts — see [`MetricsSnapshot`]).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.counters.snapshot()
-    }
-
-    /// Resets the operation counters to zero (e.g. after a warm-up phase).
-    pub fn reset_metrics(&self) {
-        self.counters.reset();
-    }
-
-    /// Installs new window parameters, returning the snapshot that took
-    /// effect. Lock-free and non-blocking for concurrent increments.
-    ///
-    /// A width shrink stops increments into the retired tail immediately;
-    /// the window reports `pending_shrink` until
-    /// [`Counter2D::try_commit_shrink`] folds the retired values away.
-    ///
-    /// # Errors
-    ///
-    /// [`RetuneError::ExceedsCapacity`] if `params.width()` exceeds
-    /// [`Counter2D::capacity`].
-    pub fn retune(&self, params: Params) -> Result<WindowInfo, RetuneError> {
-        let (info, swung) = self.window.retune(params, self.subs.len())?;
-        if swung {
-            self.counters.add(|c| &c.retunes, 1);
-            if let Some(r) = self.telemetry.recorder() {
-                r.retune(info);
-                if info.pending_shrink() {
-                    r.shrink_fence(ShrinkPhase::Armed, info);
-                }
-            }
-        }
-        Ok(info)
-    }
-
-    /// Attempts to commit a pending width shrink: once the epoch fence
-    /// proves every pre-shrink increment finished, the retired
-    /// sub-counters `[width, pop_width)` are **drained** — their values
-    /// move into the side accumulator — and the window closes.
-    ///
-    /// Returns the new window snapshot when the commit lands, `None` when
-    /// there is nothing to commit or the fence has not tripped yet.
-    pub fn try_commit_shrink(&self) -> Option<WindowInfo> {
-        let info = self.window.try_commit_shrink(|tail, _| {
+    /// Once the epoch fence proves every pre-shrink increment finished,
+    /// the retired sub-counters `[width, pop_width)` are **drained** —
+    /// their values move into the side accumulator — and the window
+    /// closes.
+    fn commit_shrink(&self) -> Option<WindowInfo> {
+        self.lane.window.try_commit_shrink(|tail, _| {
             for sub in &self.subs[tail] {
                 // Take-then-add: a concurrent scanning read may briefly
                 // miss the moved count (value() is advisory mid-flight),
@@ -233,39 +130,24 @@ impl Counter2D {
                 }
             }
             true
-        })?;
-        self.counters.add(|c| &c.retunes, 1);
-        if let Some(r) = self.telemetry.recorder() {
-            r.shrink_fence(ShrinkPhase::Committed, info);
-        }
-        Some(info)
+        })
     }
 
-    /// The counter's analogue of the Theorem-1 bound: how far a quiescent
-    /// scanning read ([`Counter2D::value`]) can sit from a linearized
-    /// count, `(depth + shift) * (pop_width - 1)` — each of the other
-    /// active sub-counters is within the window spread of the one being
-    /// read (see the module docs). Computed over the pop span so it stays
-    /// honest while a width shrink is pending. A `width = 1` counter is
-    /// exact (`0`).
-    pub fn k_bound(&self) -> usize {
+    /// The counter's analogue of the Theorem-1 bound (see [`Counter2D`]).
+    fn k_bound(&self) -> usize {
         let guard = epoch::pin();
-        let w = self.window.load(&guard);
+        let w = self.lane.window.load(&guard);
         (w.depth + w.shift) * (w.pop_width - 1)
     }
 
-    /// The *live* read-error bound, sound even across retune transients:
     /// `(pop_width - 1) * max(observed spread, depth + shift)` over the
-    /// active span.
-    ///
-    /// Right after a width **grow**, freshly activated sub-counters sit at
-    /// zero while the veterans carry the backlog — the observed spread,
-    /// not the configured window, is what bounds a scan's error until the
-    /// newcomers catch up. Like the stack and queue variants the value is
-    /// advisory under unquiesced concurrency.
-    pub fn k_bound_instantaneous(&self) -> usize {
+    /// active span: right after a width **grow**, freshly activated
+    /// sub-counters sit at zero while the veterans carry the backlog — the
+    /// observed spread, not the configured window, bounds a scan's error
+    /// until the newcomers catch up.
+    fn k_bound_instantaneous(&self) -> usize {
         let guard = epoch::pin();
-        let w = self.window.load(&guard);
+        let w = self.lane.window.load(&guard);
         if w.pop_width <= 1 {
             return 0;
         }
@@ -278,36 +160,37 @@ impl Counter2D {
         (w.pop_width - 1) * (max - min).max(w.depth + w.shift)
     }
 
-    /// Registers a per-thread handle.
-    ///
-    /// On a counter built with [`Builder::seed`](crate::Builder::seed) the
-    /// handle RNG is drawn from the deterministic per-structure sequence;
-    /// otherwise from thread entropy.
-    pub fn handle(&self) -> CounterHandle<'_> {
-        let mut rng = self.seeder.rng();
-        let last = rng.bounded(self.subs.len());
-        CounterHandle {
-            counter: self,
-            last,
-            rng,
-            sampler: self.telemetry.sampler(),
-            counters: self.counters.register(),
-        }
+    /// A produce is one increment; the produced value is irrelevant to a
+    /// statistics counter and is dropped.
+    fn produce(h: &mut CounterHandle<'_>, _value: u64) {
+        h.increment();
     }
 
-    /// Registers a handle with a deterministic RNG seed.
-    pub fn handle_seeded(&self, seed: u64) -> CounterHandle<'_> {
-        let mut rng = HopRng::seeded(seed);
-        let last = rng.bounded(self.subs.len());
-        CounterHandle {
-            counter: self,
-            last,
-            rng,
-            sampler: self.telemetry.sampler(),
-            counters: self.counters.register(),
-        }
+    /// Counters are increment-only: a consume always reports empty, which
+    /// generic drivers tally as an empty pop.
+    fn consume(_h: &mut CounterHandle<'_>) -> Option<u64> {
+        None
     }
 
+    /// A produce batch is `values.len()` increments through the
+    /// search-amortizing [`add_n`](CounterHandle::add_n) path.
+    fn produce_n(h: &mut CounterHandle<'_>, values: Vec<u64>) {
+        h.add_n(values.len());
+    }
+
+    fn consume_n(_h: &mut CounterHandle<'_>, _max: usize) -> Vec<u64> {
+        Vec::new()
+    }
+}
+
+impl CounterCells {
+    fn value(&self) -> usize {
+        self.drained.load(Ordering::Acquire)
+            + self.subs.iter().map(|s| s.load(Ordering::Acquire)).sum::<usize>()
+    }
+}
+
+impl Counter2D {
     /// The aggregate count: the sum of all sub-counters plus the values
     /// drained out of retired sub-counters at shrink commits.
     ///
@@ -315,16 +198,16 @@ impl Counter2D {
     /// double-count in-flight increments up to the window bound (see the
     /// module docs).
     pub fn value(&self) -> usize {
-        self.drained.load(Ordering::Acquire)
-            + self.subs.iter().map(|s| s.load(Ordering::Acquire)).sum::<usize>()
+        self.cells().value()
     }
 
     /// Per-sub-counter values over the active (push) span — the load
     /// profile the window's spread claim speaks about.
     pub fn profile(&self) -> Vec<usize> {
         let guard = epoch::pin();
-        let w = self.window.load(&guard);
-        self.subs[..w.push_width].iter().map(|s| s.load(Ordering::Acquire)).collect()
+        let c = self.cells();
+        let w = c.lane.window.load(&guard);
+        c.subs[..w.push_width].iter().map(|s| s.load(Ordering::Acquire)).collect()
     }
 
     /// The quiescent spread bound: `max - min` over active sub-counters
@@ -342,114 +225,12 @@ impl Counter2D {
     }
 }
 
-impl fmt::Debug for Counter2D {
+impl fmt::Debug for CounterCells {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Counter2D")
-            .field("window", &self.window())
+            .field("window", &self.lane.window.info())
             .field("value", &self.value())
             .finish()
-    }
-}
-
-impl ElasticTarget for Counter2D {
-    fn window(&self) -> WindowInfo {
-        Counter2D::window(self)
-    }
-
-    fn capacity(&self) -> usize {
-        Counter2D::capacity(self)
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        Counter2D::metrics(self)
-    }
-
-    fn retune(&self, params: Params) -> Result<WindowInfo, RetuneError> {
-        Counter2D::retune(self, params)
-    }
-
-    fn try_commit_shrink(&self) -> Option<WindowInfo> {
-        Counter2D::try_commit_shrink(self)
-    }
-
-    fn is_elastic(&self) -> bool {
-        Counter2D::is_elastic(self)
-    }
-
-    // The counter's configured bound is its own spread-based formula,
-    // not the stack-shaped WindowInfo::k_bound the default would read.
-    fn k_bound(&self) -> usize {
-        Counter2D::k_bound(self)
-    }
-
-    fn k_bound_instantaneous(&self) -> usize {
-        Counter2D::k_bound_instantaneous(self)
-    }
-
-    fn target_name(&self) -> &'static str {
-        "2d-counter"
-    }
-
-    fn recorder(&self) -> Option<&dyn Recorder> {
-        Counter2D::recorder(self)
-    }
-}
-
-impl OpsHandle<u64> for CounterHandle<'_> {
-    /// A produce is one increment; the produced value is irrelevant to a
-    /// statistics counter and is dropped.
-    fn produce(&mut self, _value: u64) {
-        self.increment();
-    }
-
-    /// Counters are increment-only: a consume always reports empty, which
-    /// generic drivers tally as an empty pop.
-    fn consume(&mut self) -> Option<u64> {
-        None
-    }
-
-    /// A produce batch is `values.len()` increments through the
-    /// search-amortizing [`add_n`](CounterHandle::add_n) path.
-    fn produce_n(&mut self, values: Vec<u64>) {
-        self.add_n(values.len());
-    }
-}
-
-impl RelaxedOps<u64> for Counter2D {
-    type Handle<'a> = CounterHandle<'a>;
-
-    fn ops_handle(&self) -> Self::Handle<'_> {
-        self.handle()
-    }
-
-    fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
-        self.handle_seeded(seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "2d-counter"
-    }
-
-    fn relaxation_bound(&self) -> Option<usize> {
-        Some(ElasticTarget::reported_bound(self))
-    }
-}
-
-/// Per-thread handle to a [`Counter2D`].
-pub struct CounterHandle<'c> {
-    counter: &'c Counter2D,
-    last: usize,
-    rng: HopRng,
-    sampler: Sampler,
-    /// This handle's private counter block (single-writer; summed into
-    /// [`Counter2D::metrics`] while live, folded into the shared block on
-    /// drop). See [`CounterHub`](crate::metrics::CounterHub).
-    counters: Arc<OpCounters>,
-}
-
-impl Drop for CounterHandle<'_> {
-    fn drop(&mut self) {
-        self.counter.counters.release(&self.counters);
     }
 }
 
@@ -463,6 +244,7 @@ struct IncrementSide<'c> {
 impl ProbeTarget for IncrementSide<'_> {
     type Output = ();
     const CONSUMES: bool = false;
+    const KIND: OpKind = OpKind::Increment;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.push_width
@@ -497,35 +279,7 @@ impl ProbeTarget for IncrementSide<'_> {
 impl CounterHandle<'_> {
     /// Adds one to the counter on some window-valid sub-counter.
     pub fn increment(&mut self) {
-        let c = self.counter;
-        let start = c.telemetry.sample_start(&mut self.sampler);
-        // Pin so the shrink fence covers this increment: a retired
-        // sub-counter is only drained after every pinned pre-shrink
-        // operation finished.
-        let guard = epoch::pin();
-        let mut side = IncrementSide { subs: &c.subs };
-        let (done, st) = Search::new(&c.window, &c.global, &c.config).run(
-            &mut side,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert!(done.is_some(), "an increment always completes");
-        let m = &*self.counters;
-        m.bump(|c| &c.probes, st.probes);
-        m.bump(|c| &c.cas_failures, st.cas_failures);
-        m.bump(|c| &c.global_restarts, st.restarts);
-        m.bump(|c| &c.shifts_up, st.shifts);
-        m.bump(|c| &c.ops, 1);
-        m.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = c.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Increment, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        self.op(1, false, |c| IncrementSide { subs: &c.subs }, drop);
     }
 
     /// Adds `n` to the counter, amortizing the window search: after one
@@ -545,51 +299,14 @@ impl CounterHandle<'_> {
     /// assert_eq!(c.value(), 1000);
     /// ```
     pub fn add_n(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        let c = self.counter;
-        let start = c.telemetry.sample_start(&mut self.sampler);
-        // Pin so the shrink fence covers these increments (see
-        // `increment`).
-        let guard = epoch::pin();
-        let mut side = IncrementSide { subs: &c.subs };
-        let (done, st) = Search::new(&c.window, &c.global, &c.config).run_batch(
-            &mut side,
-            n,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert_eq!(done.len(), n, "an increment batch always completes in full");
-        let m = &*self.counters;
-        m.bump(|c| &c.probes, st.probes);
-        m.bump(|c| &c.cas_failures, st.cas_failures);
-        m.bump(|c| &c.global_restarts, st.restarts);
-        m.bump(|c| &c.shifts_up, st.shifts);
-        m.bump(|c| &c.ops, n as u64);
-        m.bump(|c| &c.batched_ops, n as u64);
-        m.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = c.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Increment, clock::now_ns().saturating_sub(t0));
-            }
-        }
-    }
-}
-
-impl fmt::Debug for CounterHandle<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CounterHandle").field("last", &self.last).finish()
+        self.op(n, true, |c| IncrementSide { subs: &c.subs }, drop);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::Params;
     use crate::sync::Arc;
 
     fn params(w: usize, d: usize, s: usize) -> Params {
@@ -724,7 +441,7 @@ mod tests {
         // Retired sub-counters are zeroed: the active profile carries no
         // retirement residue and re-growing starts them from scratch.
         assert_eq!(c.profile().len(), 2);
-        for (i, sub) in c.subs.iter().enumerate().skip(2) {
+        for (i, sub) in c.cells().subs.iter().enumerate().skip(2) {
             assert_eq!(sub.load(Ordering::Acquire), 0, "sub {i} not drained");
         }
         for _ in 0..100 {

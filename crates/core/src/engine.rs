@@ -7,8 +7,8 @@
 //! hardcoded bespoke covering sweeps. This module owns the *entire* search
 //! round for all of them:
 //!
-//! * the descriptor load — re-read from the [`ElasticWindow`] at the top of
-//!   every round, so retunes take effect without blocking in-flight
+//! * the descriptor load — re-read from the [`Lane`]'s window at the top
+//!   of every round, so retunes take effect without blocking in-flight
 //!   operations;
 //! * the locality-guided (or random) start index;
 //! * probe enumeration through [`Probes`] — random-hop phase plus the
@@ -19,7 +19,11 @@
 //!   side's `None` return rests on is only derived from probes belonging to
 //!   the covering sweep — **including step 0** (the PR 3 off-by-one class
 //!   of bug is structurally impossible here);
-//! * the shift/restart decision after an exhausted round.
+//! * the shift/restart decision after an exhausted round;
+//! * batching: one [`Search::run`] serves a singular op (`max == 1`) and a
+//!   batched one alike, handing each completed op to a caller-supplied
+//!   sink, so there is no second loop whose batch-of-one behaviour could
+//!   drift (`tests/engine_parity.rs` pins the equivalence).
 //!
 //! What *is* structure-specific — how one cell is validated and mutated,
 //! which span of the descriptor a side covers, and which direction the
@@ -43,17 +47,18 @@
 //! never advances by a stale `shift` (the PR 3 `get_global` fix, now
 //! applied uniformly to all three structures).
 
-use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::atomic::Ordering;
 
 use crossbeam_epoch::Guard;
 
 use crate::rng::HopRng;
 use crate::search::{Probes, SearchConfig, SearchPolicy};
-use crate::window::{ElasticWindow, WindowDesc};
+use crate::telemetry::OpKind;
+use crate::window::{Lane, WindowDesc};
 
 /// Verdict of probing one cell under the round's `Global` value.
 pub(crate) enum Probe<T> {
-    /// The operation succeeded on this cell; the search is over.
+    /// The operation succeeded on this cell.
     Done(T),
     /// A CAS was lost on a valid cell; the round restarts (with a random
     /// hop when hop-on-contention is enabled).
@@ -77,7 +82,12 @@ pub(crate) trait ProbeTarget {
 
     /// Whether an all-empty covering sweep ends the operation with `None`.
     /// Producing sides retry (shifting the window) until they succeed.
+    /// Also routes the op's accounting: consuming sides count
+    /// `shifts_down` and `empty_pops`, producing sides `shifts_up`.
     const CONSUMES: bool;
+
+    /// The op kind sampled op spans of this side are reported as.
+    const KIND: OpKind;
 
     /// The number of cells this side covers under descriptor `w`
     /// (`push_width` for producers, `pop_width` for consumers).
@@ -97,10 +107,9 @@ pub(crate) trait ProbeTarget {
     /// window already resting at its floor).
     fn shift_target(&self, global: usize, live: &WindowDesc) -> Option<usize>;
 
-    /// Stages the side for the next operation of a batched drain
-    /// ([`Search::run_batch`]): producing sides load their next node here
-    /// and return `false` when no items remain. Consuming sides take the
-    /// default (always ready).
+    /// Stages the side for the next operation of a batch: producing sides
+    /// load their next node here and return `false` when no items remain.
+    /// Consuming sides take the default (always ready).
     fn reload(&mut self) -> bool {
         true
     }
@@ -111,6 +120,8 @@ pub(crate) trait ProbeTarget {
 /// (`shifts` becomes `shifts_up` or `shifts_down` depending on the side).
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct SearchStats {
+    /// Operations completed (outputs handed to the sink).
+    pub done: u64,
     /// Cells validated.
     pub probes: u64,
     /// CASes lost on valid cells.
@@ -123,18 +134,17 @@ pub(crate) struct SearchStats {
     pub empty: bool,
 }
 
-/// One configured search: the window/global pair a side operates on plus
-/// the policy knobs. Construct per operation (it is two references and
+/// One configured search: the lane (window + `Global`) a side operates on
+/// plus the policy knobs. Construct per operation (it is one reference and
 /// three scalars) and [`run`](Search::run).
 pub(crate) struct Search<'a> {
-    window: &'a ElasticWindow,
-    global: &'a AtomicUsize,
+    lane: &'a Lane,
     policy: SearchPolicy,
     locality: bool,
     hop_on_contention: bool,
 }
 
-/// How a search round ended (success returns directly from the loop).
+/// How a search round ended (success is handled inside the loop).
 enum RoundEnd {
     /// `Global` changed mid-round; restart from the observed index.
     GlobalChanged(usize),
@@ -145,41 +155,64 @@ enum RoundEnd {
 }
 
 impl<'a> Search<'a> {
-    /// A search over `window`/`global` with `config`'s policy knobs.
-    pub(crate) fn new(
-        window: &'a ElasticWindow,
-        global: &'a AtomicUsize,
-        config: &SearchConfig,
-    ) -> Self {
+    /// A search over `lane` with `config`'s policy knobs.
+    pub(crate) fn new(lane: &'a Lane, config: &SearchConfig) -> Self {
         Search {
-            window,
-            global,
+            lane,
             policy: config.policy(),
             locality: config.uses_locality(),
             hop_on_contention: config.hops_on_contention(),
         }
     }
 
-    /// Runs search rounds until the operation completes: `Some(value)` on
-    /// success, `None` when a covering sweep observed every cell empty (on
-    /// a [`ProbeTarget::CONSUMES`] side; producing sides always succeed).
+    /// Runs search rounds until `max` operations completed, handing each
+    /// output to `sink`. A consuming side returns short when a covering
+    /// sweep observes every cell empty (`stats.empty`); producing sides
+    /// always complete all `max` (or stop early when
+    /// [`ProbeTarget::reload`] runs dry).
     ///
-    /// `last` is the handle's locality state (updated on success), `rng`
+    /// After winning a cell the run keeps **draining that same cell** —
+    /// re-checking `Global` and revalidating the cell before every extra
+    /// item — until the batch is done, the cell stops validating, or
+    /// `w.depth` items were taken in the round (the window's per-cell
+    /// budget, which is what keeps a batch inside Theorem 1's `k`: a batch
+    /// never takes more from one cell than the window already permits).
+    /// With `max == 1` the run returns at the first success, so a singular
+    /// op allocates nothing and opens no retirement scope.
+    ///
+    /// `last` is the handle's locality cursor (updated on success), `rng`
     /// its hop RNG. Lock-free: a thread only retries when another thread
     /// made progress (won a CAS, shifted the window, or retuned it).
+    // Inlined into every op so a singular op's constant `max == 1` folds
+    // the batch drain and the retirement scope away: the singular path
+    // compiles to the drain-free loop. (Out of line, a counter increment
+    // measured ~10% slower on a 2-vCPU x86-64 VM.)
+    #[inline(always)]
     pub(crate) fn run<P: ProbeTarget>(
         &self,
         target: &mut P,
+        max: usize,
         last: &mut usize,
         rng: &mut HopRng,
         guard: &Guard,
-    ) -> (Option<P::Output>, SearchStats) {
+        mut sink: impl FnMut(P::Output),
+    ) -> SearchStats {
         let mut stats = SearchStats::default();
+        if max == 0 {
+            return stats;
+        }
+        let max = max as u64;
+        // One retirement fence for a whole batch: every node/descriptor
+        // the drain unlinks buffers inside this scope and is epoch-tagged
+        // when it drops (a later tag than per-op retirement would give —
+        // conservative, so reclamation is only ever delayed). A 1-op run
+        // has nothing to amortize, so it skips the scope bookkeeping.
+        let _retire_scope = (max > 1).then(|| guard.retire_batch());
         let mut resume: Option<usize> = None;
         loop {
             // Re-read the window descriptor every round: retunes take
             // effect without blocking in-flight operations.
-            let w = self.window.load(guard);
+            let w = self.lane.window.load(guard);
             let width = target.span(w);
             let at = match resume.take() {
                 // A restart resumes near where the previous round stopped
@@ -188,11 +221,12 @@ impl<'a> Search<'a> {
                 None if self.locality => *last % width,
                 None => rng.bounded(width),
             };
-            let global = self.global.load(Ordering::SeqCst);
+            let global = self.lane.global.load(Ordering::SeqCst);
             let mut all_empty = true;
             let mut end = RoundEnd::Exhausted;
-            // Inner scope: `probes` borrows the rng, which the
-            // hop-on-contention restart below needs back.
+            // The cell the search round succeeded on, drained below once
+            // the probe iterator (and its rng borrow) is released.
+            let mut won: Option<usize> = None;
             {
                 let mut probes = Probes::new(self.policy, width, at, rng);
                 let mut probe_no = 0;
@@ -206,138 +240,17 @@ impl<'a> Search<'a> {
                     probe_no += 1;
                     // Restart on any observed Global change (§3
                     // optimization).
-                    if self.global.load(Ordering::SeqCst) != global {
+                    if self.lane.global.load(Ordering::SeqCst) != global {
                         end = RoundEnd::GlobalChanged(i);
                         break;
                     }
                     match target.probe(i, w, global, guard) {
                         Probe::Done(value) => {
                             *last = i;
-                            return (Some(value), stats);
-                        }
-                        Probe::Contended => {
-                            end = RoundEnd::Contention;
-                            break;
-                        }
-                        // Only covering-sweep probes feed the verdict; a
-                        // non-empty cell anywhere in the sweep kills it.
-                        Probe::Invalid => {
-                            if in_coverage {
-                                all_empty = false;
-                            }
-                        }
-                        Probe::Empty => {}
-                    }
-                }
-            }
-            match end {
-                RoundEnd::GlobalChanged(i) => {
-                    stats.restarts += 1;
-                    resume = Some(i);
-                }
-                RoundEnd::Contention => {
-                    stats.cas_failures += 1;
-                    // Contention avoidance: hop to a random cell instead of
-                    // retrying the fought-over one (paper default).
-                    resume = Some(if self.hop_on_contention { rng.bounded(width) } else { at });
-                }
-                RoundEnd::Exhausted => {
-                    if P::CONSUMES && all_empty {
-                        // A covering sweep under one Global saw only empty
-                        // cells: report empty.
-                        stats.empty = true;
-                        return (None, stats);
-                    }
-                    // No valid cell anywhere: propose a window shift. The
-                    // live descriptor is re-read so the window never moves
-                    // by a stale shift; a failed CAS means another thread
-                    // moved Global — either way the window changed and the
-                    // search restarts fresh (from locality).
-                    let live = self.window.load(guard);
-                    if let Some(next) = target.shift_target(global, live) {
-                        if self
-                            .global
-                            .compare_exchange(global, next, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok()
-                        {
-                            stats.shifts += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched variant of [`Search::run`]: searches exactly like `run`,
-    /// but after winning a cell it keeps **draining that same cell** —
-    /// re-checking `Global` and revalidating the cell before every extra
-    /// item — until `max` operations completed, the cell stops validating,
-    /// or `w.depth` items were taken in the round (the window's per-cell
-    /// budget, which is what keeps a batch inside Theorem 1's `k`: a batch
-    /// never takes more from one cell than the window already permits).
-    ///
-    /// Returns the completed outputs (producers: one `()` per item
-    /// pushed). A consuming side returns short when a covering sweep
-    /// concludes every cell is empty (`stats.empty` is set, as in `run`).
-    /// With `max == 1` the observable effects are exactly `run`'s: same
-    /// probe order, same RNG consumption, same cell transitions.
-    pub(crate) fn run_batch<P: ProbeTarget>(
-        &self,
-        target: &mut P,
-        max: usize,
-        last: &mut usize,
-        rng: &mut HopRng,
-        guard: &Guard,
-    ) -> (Vec<P::Output>, SearchStats) {
-        let mut stats = SearchStats::default();
-        // archlint: allow(no-raw-alloc-in-hot-path) — one output buffer
-        // for the whole batch, amortized across up to `max` operations.
-        let mut out = Vec::with_capacity(max);
-        if max == 0 {
-            return (out, stats);
-        }
-        // One retirement fence for the whole batch: every node/descriptor
-        // the drain unlinks buffers inside this scope and is epoch-tagged
-        // when it drops (a later tag than per-op retirement would give —
-        // conservative, so reclamation is only ever delayed). A 1-op batch
-        // has nothing to amortize, so it skips the scope bookkeeping and
-        // stays on exactly `run`'s retirement path.
-        let _retire_scope = (max > 1).then(|| guard.retire_batch());
-        let mut resume: Option<usize> = None;
-        loop {
-            let w = self.window.load(guard);
-            let width = target.span(w);
-            let at = match resume.take() {
-                Some(s) => s % width,
-                None if self.locality => *last % width,
-                None => rng.bounded(width),
-            };
-            let global = self.global.load(Ordering::SeqCst);
-            let mut all_empty = true;
-            let mut end = RoundEnd::Exhausted;
-            // The cell the search round succeeded on, drained below once
-            // the probe iterator (and its rng borrow) is released.
-            let mut won: Option<usize> = None;
-            {
-                let mut probes = Probes::new(self.policy, width, at, rng);
-                let mut probe_no = 0;
-                #[allow(clippy::while_let_on_iterator)]
-                while let Some(i) = probes.next() {
-                    stats.probes += 1;
-                    let in_coverage = probes.in_coverage(probe_no);
-                    probe_no += 1;
-                    if self.global.load(Ordering::SeqCst) != global {
-                        end = RoundEnd::GlobalChanged(i);
-                        break;
-                    }
-                    match target.probe(i, w, global, guard) {
-                        Probe::Done(value) => {
-                            *last = i;
-                            // archlint: allow(no-raw-alloc-in-hot-path) —
-                            // pre-sized push into the batch buffer.
-                            out.push(value);
-                            if out.len() >= max || !target.reload() {
-                                return (out, stats);
+                            sink(value);
+                            stats.done += 1;
+                            if stats.done >= max || !target.reload() {
+                                return stats;
                             }
                             won = Some(i);
                             break;
@@ -346,6 +259,8 @@ impl<'a> Search<'a> {
                             end = RoundEnd::Contention;
                             break;
                         }
+                        // Only covering-sweep probes feed the verdict; a
+                        // non-empty cell anywhere in the sweep kills it.
                         Probe::Invalid => {
                             if in_coverage {
                                 all_empty = false;
@@ -368,16 +283,15 @@ impl<'a> Search<'a> {
                     }
                     // Fresh Global per drained item: the validity check
                     // below always runs against the live window position.
-                    let g = self.global.load(Ordering::SeqCst);
+                    let g = self.lane.global.load(Ordering::SeqCst);
                     stats.probes += 1;
                     match target.probe(i, w, g, guard) {
                         Probe::Done(value) => {
-                            // archlint: allow(no-raw-alloc-in-hot-path) —
-                            // pre-sized push into the batch buffer.
-                            out.push(value);
+                            sink(value);
+                            stats.done += 1;
                             drained += 1;
-                            if out.len() >= max || !target.reload() {
-                                return (out, stats);
+                            if stats.done >= max || !target.reload() {
+                                return stats;
                             }
                         }
                         Probe::Contended => {
@@ -403,18 +317,26 @@ impl<'a> Search<'a> {
                 }
                 RoundEnd::Contention => {
                     stats.cas_failures += 1;
+                    // Contention avoidance: hop to a random cell instead of
+                    // retrying the fought-over one (paper default).
                     resume = Some(if self.hop_on_contention { rng.bounded(width) } else { at });
                 }
                 RoundEnd::Exhausted => {
                     if P::CONSUMES && all_empty {
-                        // Every cell empty under one Global: the batch ends
-                        // here, possibly short.
+                        // A covering sweep under one Global saw only empty
+                        // cells: the run ends here, possibly short.
                         stats.empty = true;
-                        return (out, stats);
+                        return stats;
                     }
-                    let live = self.window.load(guard);
+                    // No valid cell anywhere: propose a window shift. The
+                    // live descriptor is re-read so the window never moves
+                    // by a stale shift; a failed CAS means another thread
+                    // moved Global — either way the window changed and the
+                    // search restarts fresh (from locality).
+                    let live = self.lane.window.load(guard);
                     if let Some(next) = target.shift_target(global, live) {
                         if self
+                            .lane
                             .global
                             .compare_exchange(global, next, Ordering::SeqCst, Ordering::SeqCst)
                             .is_ok()

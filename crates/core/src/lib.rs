@@ -71,7 +71,12 @@
 //!   produce/consume contract the workload runner drives, plus the
 //!   LIFO-specific [`ConcurrentStack`] refinement shared with every
 //!   baseline;
-//! * [`stack`] / [`Stack2D`] — the 2D window algorithm;
+//! * [`window2d`] / [`Window2D`] — the one structure shell: construction,
+//!   accessors, retune accounting, handles and the single op path, shared
+//!   by [`Stack2D`], [`Queue2D`] and [`Counter2D`] (type aliases of
+//!   `Window2D` over their cells);
+//! * [`stack`] / [`Stack2D`] — the 2D window algorithm's stack cells and
+//!   push/pop vocabulary;
 //! * [`substack`] — the descriptor-based lock-free sub-stack (public because
 //!   the paper's `random` / `random-c2` / `k-robin` baselines in
 //!   `stack2d-baselines` are built from the same block);
@@ -79,7 +84,8 @@
 //!   the structure-shared [`SearchConfig`]; the policies execute in one
 //!   crate-internal window-search *engine* (`engine.rs`, DESIGN.md §9)
 //!   that drives the stack's push/pop, the queue's put/get ends and the
-//!   counter's increments through a per-cell probe trait;
+//!   counter's increments through a per-cell probe trait, singular ops
+//!   being batches of one;
 //! * [`params`] — window parameters and the Theorem 1 bound;
 //! * [`window`] — the structure-agnostic hot-swappable window descriptor
 //!   behind `retune`: online ("elastic") width/depth/shift changes with
@@ -87,8 +93,7 @@
 //!   the counter and driven through the [`ElasticTarget`] trait by the
 //!   feedback controllers in the `stack2d-adaptive` crate;
 //! * [`metrics`] — contention / probe / window-shift / retune counters
-//!   ([`Stack2D::metrics`](stack::Stack2D::metrics), and the same block on
-//!   [`Queue2D`] and [`Counter2D`]);
+//!   ([`Window2D::metrics`], the same block on all three structures);
 //! * [`telemetry`] — the [`Recorder`] emission hooks (sampled op spans,
 //!   window-shift/retune/shrink-fence and controller-decision events)
 //!   behind [`Builder::recorder`](builder::Builder::recorder), plus the
@@ -127,6 +132,7 @@ pub mod sync;
 pub mod telemetry;
 pub mod traits;
 pub mod window;
+pub mod window2d;
 
 pub use builder::{Buildable, Builder};
 pub use counter2d::{Counter2D, CounterHandle};
@@ -139,3 +145,4 @@ pub use stack::{Handle2D, Stack2D};
 pub use telemetry::{NoopRecorder, Recorder};
 pub use traits::{ConcurrentStack, ElasticTarget, OpsHandle, RelaxedOps, StackHandle, StackOps};
 pub use window::{RetuneError, WindowInfo};
+pub use window2d::{Window2D, WindowHandle};

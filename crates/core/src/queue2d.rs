@@ -29,13 +29,13 @@
 //! Since PR 3 the queue shares the stack's elastic machinery
 //! (`ElasticWindow`): the sub-queue array is pre-sized at a capacity
 //! ([`Builder::elastic_capacity`](crate::Builder::elastic_capacity)) and
-//! [`Queue2D::retune`] hot-swaps **two** descriptors, one per window. Two
+//! [`Window2D::retune`] hot-swaps **two** descriptors, one per window. Two
 //! are required because the put and get windows retire sub-queues at
 //! different times: a width shrink stops *enqueues* into the tail
 //! immediately (put descriptor, swung symmetrically), while *dequeues*
 //! must keep covering the tail until the epoch fence proves every
 //! pre-shrink enqueue finished and a sweep finds the tail drained (get
-//! descriptor, high-water rule + [`Queue2D::try_commit_shrink`]). See
+//! descriptor, high-water rule + [`Window2D::try_commit_shrink`]). See
 //! DESIGN.md §7.
 //!
 //! # Search policy
@@ -56,17 +56,13 @@ use core::ptr;
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Pointer, Shared};
 use crossbeam_utils::CachePadded;
 
-use crate::builder::Builder;
-use crate::engine::{Probe, ProbeTarget, Search};
-use crate::metrics::{CounterHub, MetricsSnapshot, OpCounters};
+use crate::engine::{Probe, ProbeTarget};
 use crate::params::Params;
 use crate::pool;
-use crate::rng::{HandleSeeder, HopRng};
 use crate::search::{SearchConfig, SearchPolicy};
-use crate::sync::Arc;
-use crate::telemetry::{clock, OpKind, Recorder, Sampler, ShiftDir, ShrinkPhase, TelemetryHook};
-use crate::traits::{ElasticTarget, OpsHandle, RelaxedOps};
-use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
+use crate::telemetry::OpKind;
+use crate::window::{Lane, RetuneError, WindowDesc, WindowInfo};
+use crate::window2d::{Cells, Sealed, Window2D, WindowHandle};
 
 struct QNode<T> {
     value: MaybeUninit<T>,
@@ -269,7 +265,10 @@ impl<T> Drop for SubQueue<T> {
 ///
 /// Dequeues may return items up to `k = (2*shift + depth)*(width-1)`
 /// positions out of FIFO order (up to per-thread in-flight slack; see the
-/// module docs).
+/// module docs). [`Window2D::params`] reports the put window,
+/// [`Window2D::window`] the get window, and [`Window2D::metrics`] counts
+/// put-window shifts as `shifts_up`, get-window shifts as `shifts_down`
+/// (both globals only move forward; the split keeps the per-side signal).
 ///
 /// # Examples
 ///
@@ -288,157 +287,90 @@ impl<T> Drop for SubQueue<T> {
 /// # Ok(())
 /// # }
 /// ```
-pub struct Queue2D<T> {
+pub type Queue2D<T> = Window2D<QueueCells<T>>;
+
+/// Per-thread access handle to a [`Queue2D`]; keeps one locality cursor
+/// per window.
+pub type QueueHandle<'q, T> = WindowHandle<'q, QueueCells<T>>;
+
+/// The cells of a [`Queue2D`]: the sub-queue array plus a put lane and a
+/// get lane.
+pub struct QueueCells<T> {
     /// Sub-queues, allocated once at capacity; enqueues target the put
     /// window's push span, dequeues cover the get window's pop span.
     subs: Box<[CachePadded<SubQueue<T>>]>,
-    put_global: CachePadded<AtomicUsize>,
-    get_global: CachePadded<AtomicUsize>,
     /// The put window: governs which sub-queues enqueues may target.
-    put: ElasticWindow,
+    put: Lane,
     /// The get window: governs which sub-queues dequeues cover, carries
     /// the pending-shrink state and the quality-governing generation.
-    get: ElasticWindow,
-    /// Serializes [`Queue2D::retune`]'s two descriptor swings: without
-    /// it, two concurrent retunes could interleave and leave the put and
-    /// get windows describing different widths for good — stranding
-    /// enqueues outside the dequeue span once a shrink commits. Cold
-    /// path only; enqueues/dequeues never take it.
+    get: Lane,
+    /// Serializes the two descriptor swings of a retune: without it, two
+    /// concurrent retunes could interleave and leave the put and get
+    /// windows describing different widths for good — stranding enqueues
+    /// outside the dequeue span once a shrink commits. Cold path only;
+    /// enqueues/dequeues never take it.
     retune_lock: crate::sync::Mutex<()>,
-    config: SearchConfig,
-    counters: CounterHub,
-    seeder: HandleSeeder,
-    telemetry: TelemetryHook,
+    /// Whether nodes draw from the node pool.
+    pooled: bool,
 }
 
-impl<T> Queue2D<T> {
-    /// Starts a validated [`Builder`] — the preferred construction path.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stack2d::Queue2D;
-    ///
-    /// let q: Queue2D<u64> = Queue2D::builder().for_bound(30).build().unwrap();
-    /// assert!(q.k_bound() <= 30);
-    /// ```
-    pub fn builder() -> Builder<Self> {
-        Builder::new()
+impl<T> Sealed for QueueCells<T> {}
+
+impl<T> Cells for QueueCells<T> {
+    type Item = T;
+    const NAME: &'static str = "2d-queue";
+    const TARGET_NAME: &'static str = "2d-queue";
+    const HANDLE_NAME: &'static str = "QueueHandle";
+    const SPLIT_LANES: bool = true;
+
+    fn default_policy() -> SearchPolicy {
+        SearchPolicy::RoundRobinOnly
     }
 
-    /// Creates a 2D-Queue with the given window parameters, the default
-    /// search behaviour (plain covering sweep) and no elastic headroom
-    /// (capacity = width).
-    pub fn new(params: Params) -> Self {
-        Self::with_config(SearchConfig::new(params).search_policy(SearchPolicy::RoundRobinOnly))
-    }
-
-    /// Creates a 2D-Queue with explicit search-policy configuration (used
-    /// by the ablation experiments; note that [`SearchConfig::new`]'s
-    /// policy default is the *paper's* two-phase search, while
-    /// [`Queue2D::new`] and the builder default to the queue's historical
-    /// [`SearchPolicy::RoundRobinOnly`] sweep).
-    pub fn with_config(config: SearchConfig) -> Self {
-        Self::from_builder_parts(config, None)
-    }
-
-    pub(crate) fn from_builder_parts(config: SearchConfig, seed: Option<u64>) -> Self {
-        let params = config.params();
-        let capacity = config.capacity();
-        let make_sub =
-            if config.uses_node_pool() { SubQueue::new_pooled } else { SubQueue::new as fn() -> _ };
-        let subs = (0..capacity)
-            .map(|_| CachePadded::new(make_sub()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Queue2D {
-            subs,
-            put_global: CachePadded::new(AtomicUsize::new(params.initial_global())),
-            get_global: CachePadded::new(AtomicUsize::new(params.initial_global())),
-            put: ElasticWindow::new(params),
-            get: ElasticWindow::new(params),
+    fn new(config: &SearchConfig) -> Self {
+        let pooled = config.uses_node_pool();
+        let make_sub = if pooled { SubQueue::new_pooled } else { SubQueue::new as fn() -> _ };
+        QueueCells {
+            subs: (0..config.capacity()).map(|_| CachePadded::new(make_sub())).collect(),
+            put: Lane::new(config.params()),
+            get: Lane::new(config.params()),
             retune_lock: crate::sync::Mutex::new(()),
-            config,
-            counters: CounterHub::default(),
-            seeder: HandleSeeder::new(seed),
-            telemetry: TelemetryHook::none(),
+            pooled,
         }
     }
 
-    pub(crate) fn attach_recorder_parts(&mut self, recorder: Arc<dyn Recorder>, sample_every: u32) {
-        self.telemetry.attach(recorder, sample_every);
+    fn produce_lane(&self) -> &Lane {
+        &self.put
     }
 
-    /// The attached telemetry sink, if any (see
-    /// [`Builder::recorder`](crate::Builder::recorder)).
-    #[inline]
-    pub fn recorder(&self) -> Option<&dyn Recorder> {
-        self.telemetry.recorder()
+    fn consume_lane(&self) -> &Lane {
+        &self.get
     }
 
-    /// Whether this queue was built with elastic headroom (capacity beyond
-    /// the initial width), i.e. is meant to be retuned online.
-    #[inline]
-    pub fn is_elastic(&self) -> bool {
-        self.capacity() > self.config.params().width()
+    /// The put window swings symmetrically (a width shrink stops enqueues
+    /// into the retired tail immediately); the get window applies the
+    /// high-water rule, keeping dequeues covering the tail until the
+    /// shrink commits. Both swings happen under `retune_lock`.
+    fn swing(&self, params: Params, capacity: usize) -> Result<(WindowInfo, bool), RetuneError> {
+        let _serialize = self.retune_lock.lock();
+        let (_, put_swung) = self.put.window.retune_symmetric(params, capacity)?;
+        let (info, get_swung) = self.get.window.retune(params, capacity)?;
+        Ok((info, put_swung || get_swung))
     }
 
-    /// The construction-time configuration (search policy knobs and the
-    /// *initial* window parameters; for the live parameters after retunes
-    /// see [`Queue2D::window`]).
-    #[inline]
-    pub fn config(&self) -> SearchConfig {
-        self.config
+    fn commit_shrink(&self) -> Option<WindowInfo> {
+        self.get
+            .window
+            .try_commit_shrink(|tail, guard| self.subs[tail].iter().all(|s| s.is_empty(guard)))
     }
 
-    /// The put-side window parameters currently in force.
-    #[inline]
-    pub fn params(&self) -> Params {
-        self.put.info().params()
-    }
-
-    /// Number of sub-queues allocated at construction — the ceiling for
-    /// [`Queue2D::retune`]d widths.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// A consistent snapshot of the **get** window — the one that governs
-    /// dequeue quality (its pop span and generation are what the
-    /// per-generation checker segments by).
-    pub fn window(&self) -> WindowInfo {
-        self.get.info()
-    }
-
-    /// A consistent snapshot of the **put** window.
-    pub fn put_window(&self) -> WindowInfo {
-        self.put.info()
-    }
-
-    /// The k-out-of-order style bound carried over from Theorem 1, over
-    /// the get window's pop span so it stays honest while a width shrink
-    /// is pending (modulo in-flight counter slack; see the module docs).
-    #[inline]
-    pub fn k_bound(&self) -> usize {
-        self.get.info().k_bound()
-    }
-
-    /// The *live* out-of-order bound, sound even across retune transients:
-    /// `(pop_width - 1) * (max sub-queue residency + depth)`.
-    ///
-    /// A dequeue takes the oldest item of its sub-queue, so every resident
-    /// item it overtakes sits in one of the *other* covered sub-queues —
-    /// at most their residency, plus a `depth` margin for counter slack.
-    /// Like [`Stack2D::k_bound_instantaneous`](crate::Stack2D::k_bound_instantaneous)
-    /// this covers width-grow transients (freshly activated sub-queues
-    /// soak up new items and let dequeues overtake the entire backlog)
-    /// and converges back toward the configured bound as the queue drains.
-    /// Counts are read one sub-queue at a time, so under unquiesced
-    /// concurrency the value is advisory.
-    pub fn k_bound_instantaneous(&self) -> usize {
+    /// `(pop_width - 1) * (max sub-queue residency + depth)`: a dequeue
+    /// takes the oldest item of its sub-queue, so every resident item it
+    /// overtakes sits in one of the *other* covered sub-queues — at most
+    /// their residency, plus a `depth` margin for counter slack.
+    fn k_bound_instantaneous(&self) -> usize {
         let guard = epoch::pin();
-        let w = self.get.load(&guard);
+        let w = self.get.window.load(&guard);
         if w.pop_width <= 1 {
             return 0;
         }
@@ -447,140 +379,66 @@ impl<T> Queue2D<T> {
         (w.pop_width - 1) * (max_residency + w.depth)
     }
 
-    /// A snapshot of the queue's operation counters (probes, lost CASes,
-    /// window shifts — see [`MetricsSnapshot`]). `shifts_up` counts put
-    /// window shifts, `shifts_down` get window shifts (both globals only
-    /// move forward; the up/down split keeps the per-side signal).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.counters.snapshot()
+    fn produce(h: &mut QueueHandle<'_, T>, value: T) {
+        h.enqueue(value);
     }
 
-    /// Resets the operation counters to zero (e.g. after a warm-up phase).
-    pub fn reset_metrics(&self) {
-        self.counters.reset();
+    fn consume(h: &mut QueueHandle<'_, T>) -> Option<T> {
+        h.dequeue()
     }
 
-    /// Installs new window parameters on **both** windows, returning the
-    /// get-window snapshot that took effect. Lock-free and non-blocking
-    /// for concurrent enqueues/dequeues: they re-read the descriptors at
-    /// every search round and never wait on a retune.
-    ///
-    /// The put window swings symmetrically (a width shrink stops enqueues
-    /// into the retired tail immediately); the get window applies the
-    /// high-water rule, keeping dequeues covering the tail until
-    /// [`Queue2D::try_commit_shrink`] proves it drained. Concurrent
-    /// retunes serialize on an internal mutex so the pair of swings is
-    /// atomic with respect to other retunes (the operation hot paths
-    /// stay lock-free).
-    ///
-    /// # Errors
-    ///
-    /// [`RetuneError::ExceedsCapacity`] if `params.width()` exceeds
-    /// [`Queue2D::capacity`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stack2d::{Params, Queue2D};
-    ///
-    /// let q: Queue2D<u32> = Queue2D::builder().params(Params::new(2, 1, 1).unwrap()).elastic_capacity(8).build().unwrap();
-    /// let info = q.retune(Params::new(8, 2, 1).unwrap()).unwrap();
-    /// assert_eq!(info.width(), 8);
-    /// assert!(q.retune(Params::new(9, 1, 1).unwrap()).is_err());
-    /// ```
-    pub fn retune(&self, params: Params) -> Result<WindowInfo, RetuneError> {
-        let capacity = self.subs.len();
-        let _serialize = self.retune_lock.lock();
-        let (_, put_swung) = self.put.retune_symmetric(params, capacity)?;
-        let (info, get_swung) = self.get.retune(params, capacity)?;
-        if put_swung || get_swung {
-            // One logical retune, however many descriptors swung.
-            self.counters.add(|c| &c.retunes, 1);
-            if let Some(r) = self.telemetry.recorder() {
-                r.retune(info);
-                if info.pending_shrink() {
-                    r.shrink_fence(ShrinkPhase::Armed, info);
-                }
-            }
-        }
-        Ok(info)
+    fn produce_n(h: &mut QueueHandle<'_, T>, values: Vec<T>) {
+        h.enqueue_n(values);
     }
 
-    /// Attempts to commit a pending width shrink of the get window: once
-    /// the epoch fence proves every pre-shrink operation finished *and* a
-    /// sweep observes the retired tail `[width, pop_width)` empty,
-    /// dequeues stop covering the tail and the relaxation bound tightens.
-    ///
-    /// Returns the new get-window snapshot when the commit lands, `None`
-    /// when there is nothing to commit or the preconditions do not hold
-    /// yet (call again later — e.g. on the next controller tick).
-    pub fn try_commit_shrink(&self) -> Option<WindowInfo> {
-        let info = self
-            .get
-            .try_commit_shrink(|tail, guard| self.subs[tail].iter().all(|s| s.is_empty(guard)))?;
-        self.counters.add(|c| &c.retunes, 1);
-        if let Some(r) = self.telemetry.recorder() {
-            r.shrink_fence(ShrinkPhase::Committed, info);
-        }
-        Some(info)
+    fn consume_n(h: &mut QueueHandle<'_, T>, max: usize) -> Vec<T> {
+        h.dequeue_n(max)
+    }
+}
+
+impl<T> QueueCells<T> {
+    /// The put end, staged with `first` and the (reversed) rest of a
+    /// batch.
+    fn put_end(&self, first: T, pending: Vec<T>) -> PutEnd<'_, T> {
+        let node = Some(alloc_qnode(MaybeUninit::new(first), self.pooled));
+        PutEnd { subs: &self.subs, node, pending, pooled: self.pooled }
     }
 
-    /// Registers a per-thread handle.
-    ///
-    /// On a queue built with [`Builder::seed`](crate::Builder::seed) the
-    /// handle RNG is drawn from the deterministic per-structure sequence;
-    /// otherwise from thread entropy.
-    pub fn handle(&self) -> QueueHandle<'_, T> {
-        let mut rng = self.seeder.rng();
-        let last = rng.bounded(self.subs.len());
-        QueueHandle {
-            queue: self,
-            last_put: last,
-            last_get: last,
-            rng,
-            sampler: self.telemetry.sampler(),
-            counters: self.counters.register(),
-        }
+    fn len(&self) -> usize {
+        let enq: usize = self.subs.iter().map(|s| s.put.enq.load(Ordering::Acquire)).sum();
+        let deq: usize = self.subs.iter().map(|s| s.get.deq.load(Ordering::Acquire)).sum();
+        enq.saturating_sub(deq)
     }
+}
 
-    /// Registers a handle with a deterministic RNG seed.
-    pub fn handle_seeded(&self, seed: u64) -> QueueHandle<'_, T> {
-        let mut rng = HopRng::seeded(seed);
-        let last = rng.bounded(self.subs.len());
-        QueueHandle {
-            queue: self,
-            last_put: last,
-            last_get: last,
-            rng,
-            sampler: self.telemetry.sampler(),
-            counters: self.counters.register(),
-        }
+impl<T> Queue2D<T> {
+    /// A consistent snapshot of the **put** window.
+    pub fn put_window(&self) -> WindowInfo {
+        self.cells().put.window.info()
     }
 
     /// Current value of the put window's `Global` counter (diagnostic).
     #[inline]
     pub fn put_global(&self) -> usize {
-        self.put_global.load(Ordering::SeqCst)
+        self.cells().put.global()
     }
 
     /// Current value of the get window's `Global` counter (diagnostic).
     #[inline]
     pub fn get_global(&self) -> usize {
-        self.get_global.load(Ordering::SeqCst)
+        self.cells().get.global()
     }
 
     /// Approximate number of resident items (enqueues minus dequeues,
     /// summed over the whole capacity so pending-shrink tails count).
     pub fn len(&self) -> usize {
-        let enq: usize = self.subs.iter().map(|s| s.put.enq.load(Ordering::Acquire)).sum();
-        let deq: usize = self.subs.iter().map(|s| s.get.deq.load(Ordering::Acquire)).sum();
-        enq.saturating_sub(deq)
+        self.cells().len()
     }
 
     /// Whether every sub-queue is empty (approximate under concurrency).
     pub fn is_empty(&self) -> bool {
         let guard = epoch::pin();
-        self.subs.iter().all(|s| s.is_empty(&guard))
+        self.cells().subs.iter().all(|s| s.is_empty(&guard))
     }
 
     /// Enqueue through an ephemeral handle.
@@ -594,92 +452,13 @@ impl<T> Queue2D<T> {
     }
 }
 
-impl<T> fmt::Debug for Queue2D<T> {
+impl<T> fmt::Debug for QueueCells<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Queue2D")
-            .field("put", &self.put_window())
-            .field("get", &self.window())
+            .field("put", &self.put.window.info())
+            .field("get", &self.get.window.info())
             .field("len", &self.len())
             .finish()
-    }
-}
-
-impl<T: Send> ElasticTarget for Queue2D<T> {
-    fn window(&self) -> WindowInfo {
-        Queue2D::window(self)
-    }
-
-    fn capacity(&self) -> usize {
-        Queue2D::capacity(self)
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        Queue2D::metrics(self)
-    }
-
-    fn retune(&self, params: Params) -> Result<WindowInfo, RetuneError> {
-        Queue2D::retune(self, params)
-    }
-
-    fn try_commit_shrink(&self) -> Option<WindowInfo> {
-        Queue2D::try_commit_shrink(self)
-    }
-
-    fn is_elastic(&self) -> bool {
-        Queue2D::is_elastic(self)
-    }
-
-    fn k_bound_instantaneous(&self) -> usize {
-        Queue2D::k_bound_instantaneous(self)
-    }
-
-    fn target_name(&self) -> &'static str {
-        "2d-queue"
-    }
-
-    fn recorder(&self) -> Option<&dyn Recorder> {
-        Queue2D::recorder(self)
-    }
-}
-
-impl<T: Send> OpsHandle<T> for QueueHandle<'_, T> {
-    fn produce(&mut self, value: T) {
-        self.enqueue(value);
-    }
-
-    fn consume(&mut self) -> Option<T> {
-        self.dequeue()
-    }
-
-    fn produce_n(&mut self, values: Vec<T>) {
-        self.enqueue_n(values);
-    }
-
-    fn consume_n(&mut self, max: usize) -> Vec<T> {
-        self.dequeue_n(max)
-    }
-}
-
-impl<T: Send> RelaxedOps<T> for Queue2D<T> {
-    type Handle<'a>
-        = QueueHandle<'a, T>
-    where
-        T: 'a;
-
-    fn ops_handle(&self) -> Self::Handle<'_> {
-        self.handle()
-    }
-
-    fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
-        self.handle_seeded(seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "2d-queue"
-    }
-
-    fn relaxation_bound(&self) -> Option<usize> {
-        Some(ElasticTarget::reported_bound(self))
     }
 }
 
@@ -700,6 +479,7 @@ struct PutEnd<'q, T> {
 impl<T> ProbeTarget for PutEnd<'_, T> {
     type Output = ();
     const CONSUMES: bool = false;
+    const KIND: OpKind = OpKind::Enqueue;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.push_width
@@ -751,6 +531,7 @@ struct GetEnd<'q, T> {
 impl<T> ProbeTarget for GetEnd<'_, T> {
     type Output = T;
     const CONSUMES: bool = true;
+    const KIND: OpKind = OpKind::Dequeue;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.pop_width
@@ -782,56 +563,10 @@ impl<T> ProbeTarget for GetEnd<'_, T> {
     }
 }
 
-/// Per-thread access handle to a [`Queue2D`].
-pub struct QueueHandle<'q, T> {
-    queue: &'q Queue2D<T>,
-    last_put: usize,
-    last_get: usize,
-    rng: HopRng,
-    sampler: Sampler,
-    /// This handle's private counter block (single-writer; summed into
-    /// [`Queue2D::metrics`] while live, folded into the shared block on
-    /// drop). See [`CounterHub`](crate::metrics::CounterHub).
-    counters: Arc<OpCounters>,
-}
-
-impl<T> Drop for QueueHandle<'_, T> {
-    fn drop(&mut self) {
-        self.queue.counters.release(&self.counters);
-    }
-}
-
 impl<T> QueueHandle<'_, T> {
     /// Enqueues `value` on some window-valid sub-queue.
     pub fn enqueue(&mut self, value: T) {
-        let q = self.queue;
-        let start = q.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let pooled = q.config.uses_node_pool();
-        let node = alloc_qnode(MaybeUninit::new(value), pooled);
-        let mut end = PutEnd { subs: &q.subs, node: Some(node), pending: Vec::new(), pooled };
-        let (done, st) = Search::new(&q.put, &q.put_global, &q.config).run(
-            &mut end,
-            &mut self.last_put,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert!(done.is_some(), "an enqueue always completes");
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_up, st.shifts);
-        c.bump(|c| &c.ops, 1);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = q.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Enqueue, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        self.op(1, false, |c| c.put_end(value, Vec::new()), drop);
     }
 
     /// Enqueues every value in `values`, amortizing the window search:
@@ -850,76 +585,19 @@ impl<T> QueueHandle<'_, T> {
     /// q.handle().enqueue_n((0..100).collect());
     /// assert_eq!(q.len(), 100);
     /// ```
-    pub fn enqueue_n(&mut self, values: Vec<T>) {
+    pub fn enqueue_n(&mut self, mut values: Vec<T>) {
+        values.reverse();
         let n = values.len();
-        if n == 0 {
-            return;
-        }
-        let q = self.queue;
-        let start = q.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let pooled = q.config.uses_node_pool();
-        let mut pending = values;
-        pending.reverse();
-        // archlint: allow(no-panic-in-hot-path) — `values` is non-empty here
-        // because the n == 0 case returned above, so the pop cannot fail.
-        let node = alloc_qnode(MaybeUninit::new(pending.pop().expect("n > 0")), pooled);
-        let mut end = PutEnd { subs: &q.subs, node: Some(node), pending, pooled };
-        let (done, st) = Search::new(&q.put, &q.put_global, &q.config).run_batch(
-            &mut end,
-            n,
-            &mut self.last_put,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert_eq!(done.len(), n, "an enqueue batch always completes in full");
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_up, st.shifts);
-        c.bump(|c| &c.ops, n as u64);
-        c.bump(|c| &c.batched_ops, n as u64);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = q.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Enqueue, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        // archlint: allow(no-panic-in-hot-path) — the op path only builds
+        // the side when n > 0, so the pop cannot fail.
+        self.op(n, true, |c| c.put_end(values.pop().expect("n > 0"), values), drop);
     }
 
     /// Dequeues an item; `None` when a covering sweep saw every sub-queue
     /// empty.
     pub fn dequeue(&mut self) -> Option<T> {
-        let q = self.queue;
-        let start = q.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let mut end = GetEnd { subs: &q.subs };
-        let (out, st) = Search::new(&q.get, &q.get_global, &q.config).run(
-            &mut end,
-            &mut self.last_get,
-            &mut self.rng,
-            &guard,
-        );
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_down, st.shifts);
-        c.bump(|c| &c.empty_pops, u64::from(st.empty));
-        c.bump(|c| &c.ops, 1);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = q.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Down, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Dequeue, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        let mut out = None;
+        self.op(1, false, |c| GetEnd { subs: &c.subs }, |v| out = Some(v));
         out
     }
 
@@ -939,51 +617,9 @@ impl<T> QueueHandle<'_, T> {
     /// assert_eq!(q.handle().dequeue_n(64).len(), 10);
     /// ```
     pub fn dequeue_n(&mut self, max: usize) -> Vec<T> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let q = self.queue;
-        let start = q.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let mut end = GetEnd { subs: &q.subs };
-        let (out, st) = Search::new(&q.get, &q.get_global, &q.config).run_batch(
-            &mut end,
-            max,
-            &mut self.last_get,
-            &mut self.rng,
-            &guard,
-        );
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_down, st.shifts);
-        c.bump(|c| &c.empty_pops, u64::from(st.empty));
-        // An empty-terminated batch counts its empty observation as one
-        // op, mirroring the singular dequeue that would have returned
-        // `None`.
-        let n = out.len() as u64 + u64::from(st.empty);
-        c.bump(|c| &c.ops, n);
-        c.bump(|c| &c.batched_ops, n);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = q.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Down, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Dequeue, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        let mut out = Vec::with_capacity(max);
+        self.op(max, true, |c| GetEnd { subs: &c.subs }, |v| out.push(v));
         out
-    }
-}
-
-impl<T> fmt::Debug for QueueHandle<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("QueueHandle")
-            .field("last_put", &self.last_put)
-            .field("last_get", &self.last_get)
-            .finish()
     }
 }
 
@@ -1155,9 +791,9 @@ mod tests {
         // Force the sweep to start exactly on the sub-queue holding the
         // item, whichever it is.
         let holder = (0..4)
-            .find(|&i| q.subs[i].residency() == 1)
+            .find(|&i| q.cells().subs[i].residency() == 1)
             .expect("exactly one sub-queue holds the item");
-        h.last_get = holder;
+        h.last[1] = holder; // the get-window cursor
         assert_eq!(h.dequeue(), Some(77));
         assert_eq!(h.dequeue(), None);
     }
@@ -1175,7 +811,7 @@ mod tests {
         for i in 0..800 {
             h.enqueue(i);
         }
-        let occupied = q.subs.iter().filter(|s| s.residency() > 0).count();
+        let occupied = q.cells().subs.iter().filter(|s| s.residency() > 0).count();
         assert!(occupied > 1, "grow did not spread load");
     }
 

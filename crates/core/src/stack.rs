@@ -15,24 +15,25 @@
 //!   CAS (contention avoidance).
 //!
 //! Relaxation is bounded by Theorem 1: `k = (2*shift + depth)*(width-1)`.
+//!
+//! The search itself runs in the shared engine and everything around the
+//! cells (construction, retunes, handles, accounting) in the
+//! [`Window2D`] shell; this module contributes the [`StackCells`] and the
+//! stack's push/pop vocabulary.
 
-use crate::sync::atomic::{AtomicUsize, Ordering};
 use core::fmt;
 
 use crossbeam_epoch::{self as epoch};
 use crossbeam_utils::CachePadded;
 
-use crate::builder::Builder;
-use crate::engine::{Probe, ProbeTarget, Search};
-use crate::metrics::{CounterHub, MetricsSnapshot, OpCounters};
+use crate::engine::{Probe, ProbeTarget};
 use crate::params::Params;
-use crate::rng::{HandleSeeder, HopRng};
 use crate::search::SearchConfig;
 use crate::substack::{Contended, PreparedNode, SubStack};
-use crate::sync::Arc;
-use crate::telemetry::{clock, OpKind, Recorder, Sampler, ShiftDir, ShrinkPhase, TelemetryHook};
+use crate::telemetry::OpKind;
 use crate::traits::{ConcurrentStack, ElasticTarget, StackHandle};
-use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
+use crate::window::{Lane, WindowDesc, WindowInfo};
+use crate::window2d::{Cells, Sealed, Window2D, WindowHandle};
 
 /// A scalable lock-free stack with tunable k-out-of-order relaxation.
 ///
@@ -42,7 +43,7 @@ use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
 /// paper). Setting `width = 1` recovers a strict lock-free stack.
 ///
 /// Threads should operate through a registered [`Handle2D`] (see
-/// [`Stack2D::handle`]), which carries the paper's per-thread state: the
+/// [`Window2D::handle`]), which carries the paper's per-thread state: the
 /// last successful sub-stack (locality) and the hop RNG. The plain
 /// [`push`](Stack2D::push) / [`pop`](Stack2D::pop) methods construct an
 /// ephemeral handle per call and are provided for convenience.
@@ -65,20 +66,46 @@ use crate::window::{ElasticWindow, RetuneError, WindowDesc, WindowInfo};
 /// # Ok(())
 /// # }
 /// ```
-pub struct Stack2D<T> {
+pub type Stack2D<T> = Window2D<StackCells<T>>;
+
+/// Per-thread access handle to a [`Stack2D`].
+///
+/// Carries the paper's thread-local state: the index of the sub-stack the
+/// thread last succeeded on (exploited for locality, shared by pushes and
+/// pops) and the RNG driving random hops. Not `Sync`; create one handle
+/// per thread.
+///
+/// # Examples
+///
+/// ```
+/// use stack2d::{Params, Stack2D};
+///
+/// let stack: Stack2D<u32> = Stack2D::new(Params::default());
+/// std::thread::scope(|s| {
+///     for _ in 0..2 {
+///         s.spawn(|| {
+///             let mut h = stack.handle();
+///             for i in 0..100 {
+///                 h.push(i);
+///             }
+///             for _ in 0..100 {
+///                 h.pop();
+///             }
+///         });
+///     }
+/// });
+/// ```
+pub type Handle2D<'s, T> = WindowHandle<'s, StackCells<T>>;
+
+/// The cells of a [`Stack2D`]: the sub-stack array and the single window
+/// lane both pushes and pops search.
+pub struct StackCells<T> {
     /// Sub-stacks, allocated once at `config.capacity()`; only the first
-    /// `window.push_width` (pushes) / `window.pop_width` (pops) are active.
+    /// `push_width` (pushes) / `pop_width` (pops) are active.
     subs: Box<[CachePadded<SubStack<T>>]>,
-    /// The paper's `Global`: upper edge of the window, in items per
-    /// sub-stack.
-    global: CachePadded<AtomicUsize>,
-    /// The live window descriptor (width/depth/shift + generation),
-    /// epoch-protected and hot-swapped by [`Stack2D::retune`].
-    window: ElasticWindow,
-    config: SearchConfig,
-    counters: CounterHub,
-    seeder: HandleSeeder,
-    telemetry: TelemetryHook,
+    lane: Lane,
+    /// Whether staged nodes draw from the node pool.
+    pooled: bool,
 }
 
 /// The push side of the stack-array, as driven by the search engine: a
@@ -97,6 +124,7 @@ struct PushSide<'s, T> {
 impl<T> ProbeTarget for PushSide<'_, T> {
     type Output = ();
     const CONSUMES: bool = false;
+    const KIND: OpKind = OpKind::Push;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.push_width
@@ -161,6 +189,7 @@ struct PopSide<'s, T> {
 impl<T> ProbeTarget for PopSide<'_, T> {
     type Output = T;
     const CONSUMES: bool = true;
+    const KIND: OpKind = OpKind::Pop;
 
     fn span(&self, w: &WindowDesc) -> usize {
         w.pop_width
@@ -193,142 +222,52 @@ impl<T> ProbeTarget for PopSide<'_, T> {
     }
 }
 
-impl<T> Stack2D<T> {
-    /// Starts a validated [`Builder`] — the preferred construction path.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stack2d::Stack2D;
-    ///
-    /// let stack: Stack2D<u64> = Stack2D::builder().for_threads(4).build().unwrap();
-    /// assert_eq!(stack.params().width(), 16);
-    /// ```
-    pub fn builder() -> Builder<Self> {
-        Builder::new()
+impl<T> StackCells<T> {
+    /// The push side, staged with `first` and the (reversed) rest of a
+    /// batch.
+    fn push_side(&self, first: T, pending: Vec<T>) -> PushSide<'_, T> {
+        let node = Some(prepare_node(first, self.pooled));
+        PushSide { subs: &self.subs, node, pending, pooled: self.pooled }
     }
 
-    /// Creates a 2D-Stack with the paper-default search behaviour.
-    pub fn new(params: Params) -> Self {
-        Self::with_config(SearchConfig::new(params))
+    fn len(&self) -> usize {
+        let guard = epoch::pin();
+        self.subs.iter().map(|s| s.view(&guard).count()).sum()
     }
+}
 
-    /// Creates a 2D-Stack with explicit search-policy configuration
-    /// (used by the ablation experiments).
-    pub fn with_config(config: SearchConfig) -> Self {
-        Self::with_config_seeded(config, None)
-    }
+impl<T> Sealed for StackCells<T> {}
 
-    fn with_config_seeded(config: SearchConfig, seed: Option<u64>) -> Self {
-        let capacity = config.capacity();
-        let make_sub =
-            if config.uses_node_pool() { SubStack::new_pooled } else { SubStack::new as fn() -> _ };
-        let subs = (0..capacity)
-            .map(|_| CachePadded::new(make_sub()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Stack2D {
-            subs,
-            global: CachePadded::new(AtomicUsize::new(config.params().initial_global())),
-            window: ElasticWindow::new(config.params()),
-            config,
-            counters: CounterHub::default(),
-            seeder: HandleSeeder::new(seed),
-            telemetry: TelemetryHook::none(),
+impl<T> Cells for StackCells<T> {
+    type Item = T;
+    const NAME: &'static str = "2D-stack";
+    const TARGET_NAME: &'static str = "2d-stack";
+    const HANDLE_NAME: &'static str = "Handle2D";
+
+    fn new(config: &SearchConfig) -> Self {
+        let pooled = config.uses_node_pool();
+        let make_sub = if pooled { SubStack::new_pooled } else { SubStack::new as fn() -> _ };
+        StackCells {
+            subs: (0..config.capacity()).map(|_| CachePadded::new(make_sub())).collect(),
+            lane: Lane::new(config.params()),
+            pooled,
         }
     }
 
-    pub(crate) fn from_builder_parts(config: SearchConfig, seed: Option<u64>) -> Self {
-        Self::with_config_seeded(config, seed)
+    fn produce_lane(&self) -> &Lane {
+        &self.lane
     }
 
-    pub(crate) fn attach_recorder_parts(&mut self, recorder: Arc<dyn Recorder>, sample_every: u32) {
-        self.telemetry.attach(recorder, sample_every);
+    fn commit_shrink(&self) -> Option<WindowInfo> {
+        self.lane.window.try_commit_shrink(|tail, guard| {
+            self.subs[tail].iter().all(|s| s.view(guard).is_empty())
+        })
     }
 
-    /// The attached telemetry sink, if any (see
-    /// [`Builder::recorder`](crate::Builder::recorder)). Elastic drivers
-    /// use this to emit their decision spans through the structure's own
-    /// sink.
-    #[inline]
-    pub fn recorder(&self) -> Option<&dyn Recorder> {
-        self.telemetry.recorder()
-    }
-
-    /// A snapshot of the stack's operation counters (contention, probes,
-    /// window shifts — see [`MetricsSnapshot`]).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.counters.snapshot()
-    }
-
-    /// Resets the operation counters to zero (e.g. after a warm-up phase).
-    pub fn reset_metrics(&self) {
-        self.counters.reset();
-    }
-
-    /// The construction-time configuration (search policy knobs and the
-    /// *initial* window parameters; for the live parameters after retunes
-    /// see [`Stack2D::window`]).
-    #[inline]
-    pub fn config(&self) -> SearchConfig {
-        self.config
-    }
-
-    /// The window parameters currently in force (push side).
-    #[inline]
-    pub fn params(&self) -> Params {
-        self.window().params()
-    }
-
-    /// Number of sub-stacks allocated at construction — the ceiling for
-    /// [`Stack2D::retune`]d widths.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// A consistent snapshot of the live window descriptor: parameters,
-    /// pop span, generation and the instantaneous relaxation bound.
-    pub fn window(&self) -> WindowInfo {
-        self.window.info()
-    }
-
-    /// The deterministic relaxation bound `k` this stack guarantees *right
-    /// now*: the paper's Theorem 1 formula over the live window (corrected
-    /// upward where the implementation's provable bound exceeds it, see
-    /// [`Params::k_bound`]), computed over the pop span so it stays honest
-    /// while a width shrink is pending.
-    #[inline]
-    pub fn k_bound(&self) -> usize {
-        self.window().k_bound()
-    }
-
-    /// The *live* relaxation bound, sound even across retune transients:
     /// `(pop_width - 1) * (max sub-stack count + depth)`.
-    ///
-    /// [`Stack2D::k_bound`] is the *configured* bound — the window's
-    /// steady-state Theorem 1 guarantee, and what a controller's k budget
-    /// governs. Right after a width **grow**, however, the freshly
-    /// activated sub-stacks sit far below `Global` while the old ones are
-    /// full: items resident at the swing can later pop with error
-    /// distances beyond the static formula, because their siblings refill
-    /// entirely with newer items (the same mechanism as the Theorem 1
-    /// reproduction finding in [`Params::k_bound`], triggered here by
-    /// elasticity instead of a small `shift`). The bound returned here is
-    /// instead derived by residency counting — a pop's distance cannot
-    /// exceed the items resident in the other covered sub-stacks — so it
-    /// holds at every instant, degrades gracefully through transients,
-    /// and converges back towards the configured bound as the stack
-    /// drains. The quality checker verifies measured distances per
-    /// generation segment against `max(configured, instantaneous)`; see
-    /// DESIGN.md §6.
-    ///
-    /// Counts are read one sub-stack at a time, so under unquiesced
-    /// concurrency the value is advisory (quality runs serialize
-    /// operations and read it exactly).
-    pub fn k_bound_instantaneous(&self) -> usize {
+    fn k_bound_instantaneous(&self) -> usize {
         let guard = epoch::pin();
-        let w = self.window.load(&guard);
+        let w = self.lane.window.load(&guard);
         if w.pop_width <= 1 {
             return 0;
         }
@@ -337,101 +276,28 @@ impl<T> Stack2D<T> {
         (w.pop_width - 1) * (max_count + w.depth)
     }
 
-    /// Installs new window parameters, returning the snapshot of the
-    /// descriptor that took effect. Lock-free and non-blocking for
-    /// concurrent pushes/pops: they re-read the descriptor at every search
-    /// round and never wait on a retune.
-    ///
-    /// Growing `width` takes full effect immediately. Shrinking `width`
-    /// takes effect immediately for pushes, while pops keep covering the
-    /// old span until [`Stack2D::try_commit_shrink`] proves the retired
-    /// tail empty; the returned/observable [`WindowInfo::k_bound`] reflects
-    /// that by using the pop span.
-    ///
-    /// # Errors
-    ///
-    /// [`RetuneError::ExceedsCapacity`] if `params.width()` exceeds
-    /// [`Stack2D::capacity`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stack2d::{Params, Stack2D};
-    ///
-    /// let stack: Stack2D<u32> = Stack2D::builder().params(Params::new(2, 1, 1).unwrap()).elastic_capacity(8).build().unwrap();
-    /// let info = stack.retune(Params::new(8, 2, 1).unwrap()).unwrap();
-    /// assert_eq!(info.width(), 8);
-    /// assert!(stack.retune(Params::new(9, 1, 1).unwrap()).is_err());
-    /// ```
-    pub fn retune(&self, params: Params) -> Result<WindowInfo, RetuneError> {
-        let (info, swung) = self.window.retune(params, self.subs.len())?;
-        if swung {
-            self.counters.add(|c| &c.retunes, 1);
-            if let Some(r) = self.telemetry.recorder() {
-                r.retune(info);
-                if info.pending_shrink() {
-                    r.shrink_fence(ShrinkPhase::Armed, info);
-                }
-            }
-        }
-        Ok(info)
+    fn produce(h: &mut Handle2D<'_, T>, value: T) {
+        h.push(value);
     }
 
-    /// Attempts to commit a pending width shrink: once the epoch fence
-    /// proves every pre-shrink operation finished *and* a sweep observes
-    /// the retired tail `[width, pop_width)` empty, pops stop covering the
-    /// tail and the relaxation bound tightens to the shrunk width.
-    ///
-    /// Returns the new window snapshot when the commit lands, `None` when
-    /// there is nothing to commit or the preconditions do not hold yet
-    /// (call again later — e.g. on the next controller tick; each call
-    /// also nudges epoch reclamation along).
-    pub fn try_commit_shrink(&self) -> Option<WindowInfo> {
-        let info = self.window.try_commit_shrink(|tail, guard| {
-            self.subs[tail].iter().all(|s| s.view(guard).is_empty())
-        })?;
-        self.counters.add(|c| &c.retunes, 1);
-        if let Some(r) = self.telemetry.recorder() {
-            r.shrink_fence(ShrinkPhase::Committed, info);
-        }
-        Some(info)
+    fn consume(h: &mut Handle2D<'_, T>) -> Option<T> {
+        h.pop()
     }
 
-    /// Whether this stack was built with elastic headroom (capacity beyond
-    /// the initial width), i.e. is meant to be retuned online.
-    #[inline]
-    pub fn is_elastic(&self) -> bool {
-        self.capacity() > self.config.params().width()
+    fn produce_n(h: &mut Handle2D<'_, T>, values: Vec<T>) {
+        h.push_n(values);
     }
 
-    /// Registers a per-thread handle carrying locality state and the hop
-    /// RNG. Handles are cheap; create one per worker thread.
-    ///
-    /// On a stack built with [`Builder::seed`](crate::Builder::seed) the
-    /// handle RNG is drawn from the deterministic per-structure sequence;
-    /// otherwise from thread entropy.
-    pub fn handle(&self) -> Handle2D<'_, T> {
-        let mut rng = self.seeder.rng();
-        let width = self.subs.len();
-        let last = rng.bounded(width);
-        let counters = self.counters.register();
-        Handle2D { stack: self, last, rng, sampler: self.telemetry.sampler(), counters }
+    fn consume_n(h: &mut Handle2D<'_, T>, max: usize) -> Vec<T> {
+        h.pop_n(max)
     }
+}
 
-    /// Registers a handle with a deterministic RNG seed — useful in tests
-    /// and reproducible experiments.
-    pub fn handle_seeded(&self, seed: u64) -> Handle2D<'_, T> {
-        let mut rng = HopRng::seeded(seed);
-        let width = self.subs.len();
-        let last = rng.bounded(width);
-        let counters = self.counters.register();
-        Handle2D { stack: self, last, rng, sampler: self.telemetry.sampler(), counters }
-    }
-
+impl<T> Stack2D<T> {
     /// Current value of the `Global` window counter (diagnostic).
     #[inline]
     pub fn global(&self) -> usize {
-        self.global.load(Ordering::SeqCst)
+        self.cells().lane.global()
     }
 
     /// Sum of the sub-stack item counts.
@@ -439,86 +305,61 @@ impl<T> Stack2D<T> {
     /// Inherently approximate under concurrency (counts are read one
     /// sub-stack at a time), exact when quiescent.
     pub fn len(&self) -> usize {
-        let guard = epoch::pin();
-        self.subs.iter().map(|s| s.view(&guard).count()).sum()
+        self.cells().len()
     }
 
     /// Whether every sub-stack is empty (approximate under concurrency).
     pub fn is_empty(&self) -> bool {
         let guard = epoch::pin();
-        self.subs.iter().all(|s| s.view(&guard).is_empty())
+        self.cells().subs.iter().all(|s| s.view(&guard).is_empty())
     }
 
     /// Item counts per sub-stack — the *load profile* used by the quality
     /// experiments to show how the window keeps sub-stacks balanced.
     pub fn load_profile(&self) -> Vec<usize> {
         let guard = epoch::pin();
-        self.subs.iter().map(|s| s.view(&guard).count()).collect()
+        self.cells().subs.iter().map(|s| s.view(&guard).count()).collect()
     }
 
     /// Pushes through an ephemeral handle (no locality). Prefer
-    /// [`Stack2D::handle`] on hot paths.
+    /// [`Window2D::handle`] on hot paths.
     pub fn push(&self, value: T) {
         self.handle().push(value);
     }
 
     /// Pops through an ephemeral handle (no locality). Prefer
-    /// [`Stack2D::handle`] on hot paths.
+    /// [`Window2D::handle`] on hot paths.
     pub fn pop(&self) -> Option<T> {
         self.handle().pop()
     }
-}
 
-impl<T> fmt::Debug for Stack2D<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Stack2D")
-            .field("window", &self.window())
-            .field("global", &self.global())
-            .field("len", &self.len())
-            .finish()
+    /// Returns an iterator that pops items until the stack is empty.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stack2d::{Params, Stack2D};
+    ///
+    /// let stack = Stack2D::new(Params::default());
+    /// stack.push(1);
+    /// stack.push(2);
+    /// let mut items: Vec<i32> = stack.drain().collect();
+    /// items.sort();
+    /// assert_eq!(items, vec![1, 2]);
+    /// assert!(stack.is_empty());
+    /// ```
+    pub fn drain(&self) -> Drain<'_, T> {
+        Drain { handle: self.handle() }
     }
 }
 
-/// Per-thread access handle to a [`Stack2D`].
-///
-/// Carries the paper's thread-local state: the index of the sub-stack the
-/// thread last succeeded on (exploited for locality) and the RNG driving
-/// random hops. Not `Sync`; create one handle per thread.
-///
-/// # Examples
-///
-/// ```
-/// use stack2d::{Params, Stack2D};
-///
-/// let stack: Stack2D<u32> = Stack2D::new(Params::default());
-/// std::thread::scope(|s| {
-///     for _ in 0..2 {
-///         s.spawn(|| {
-///             let mut h = stack.handle();
-///             for i in 0..100 {
-///                 h.push(i);
-///             }
-///             for _ in 0..100 {
-///                 h.pop();
-///             }
-///         });
-///     }
-/// });
-/// ```
-pub struct Handle2D<'s, T> {
-    stack: &'s Stack2D<T>,
-    last: usize,
-    rng: HopRng,
-    sampler: Sampler,
-    /// This handle's private counter block (single-writer; summed into
-    /// [`Stack2D::metrics`] while live, folded into the shared block on
-    /// drop). See [`CounterHub`].
-    counters: Arc<OpCounters>,
-}
-
-impl<T> Drop for Handle2D<'_, T> {
-    fn drop(&mut self) {
-        self.stack.counters.release(&self.counters);
+impl<T> fmt::Debug for StackCells<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Stack2D")
+            .field("window", &self.lane.window.info())
+            .field("global", &self.lane.global())
+            .field("len", &self.len())
+            .finish()
     }
 }
 
@@ -526,47 +367,20 @@ impl<'s, T> Handle2D<'s, T> {
     /// The stack this handle operates on.
     #[inline]
     pub fn stack(&self) -> &'s Stack2D<T> {
-        self.stack
+        self.target()
     }
 
     /// Index of the sub-stack of the last successful operation.
     #[inline]
     pub fn last_substack(&self) -> usize {
-        self.last
+        self.last[0]
     }
 
     /// Pushes `value` onto the stack. Lock-free: a thread only retries when
     /// another thread made progress (won a CAS, shifted the window, or
     /// retuned it).
     pub fn push(&mut self, value: T) {
-        let stack = self.stack;
-        let start = stack.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let pooled = stack.config.uses_node_pool();
-        let node = Some(prepare_node(value, pooled));
-        let mut side = PushSide { subs: &stack.subs, node, pending: Vec::new(), pooled };
-        let (done, st) = Search::new(&stack.window, &stack.global, &stack.config).run(
-            &mut side,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert!(done.is_some(), "a push always completes");
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_up, st.shifts);
-        c.bump(|c| &c.ops, 1);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = stack.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Push, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        self.op(1, false, |c| c.push_side(value, Vec::new()), drop);
     }
 
     /// Pushes every value in `values`, amortizing the window search: after
@@ -586,75 +400,18 @@ impl<'s, T> Handle2D<'s, T> {
     /// stack.handle().push_n((0..100).collect());
     /// assert_eq!(stack.len(), 100);
     /// ```
-    pub fn push_n(&mut self, values: Vec<T>) {
+    pub fn push_n(&mut self, mut values: Vec<T>) {
+        values.reverse();
         let n = values.len();
-        if n == 0 {
-            return;
-        }
-        let stack = self.stack;
-        let start = stack.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let pooled = stack.config.uses_node_pool();
-        let mut pending = values;
-        pending.reverse();
-        let node = Some(prepare_node(pending.pop().expect("n > 0"), pooled));
-        let mut side = PushSide { subs: &stack.subs, node, pending, pooled };
-        let (done, st) = Search::new(&stack.window, &stack.global, &stack.config).run_batch(
-            &mut side,
-            n,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        debug_assert_eq!(done.len(), n, "a push batch always completes in full");
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_up, st.shifts);
-        c.bump(|c| &c.ops, n as u64);
-        c.bump(|c| &c.batched_ops, n as u64);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = stack.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Up, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Push, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        self.op(n, true, |c| c.push_side(values.pop().expect("n > 0"), values), drop);
     }
 
     /// Pops an item; `None` when a covering sweep observed every sub-stack
     /// empty. The returned item is within `k` positions of the top of the
     /// corresponding strict stack ([`Params::k_bound`]).
     pub fn pop(&mut self) -> Option<T> {
-        let stack = self.stack;
-        let start = stack.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let mut side = PopSide { subs: &stack.subs };
-        let (out, st) = Search::new(&stack.window, &stack.global, &stack.config).run(
-            &mut side,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_down, st.shifts);
-        c.bump(|c| &c.empty_pops, u64::from(st.empty));
-        c.bump(|c| &c.ops, 1);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = stack.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Down, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Pop, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        let mut out = None;
+        self.op(1, false, |c| PopSide { subs: &c.subs }, |v| out = Some(v));
         out
     }
 
@@ -677,47 +434,9 @@ impl<'s, T> Handle2D<'s, T> {
     /// assert_eq!(items.len(), 10);
     /// ```
     pub fn pop_n(&mut self, max: usize) -> Vec<T> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let stack = self.stack;
-        let start = stack.telemetry.sample_start(&mut self.sampler);
-        let guard = epoch::pin();
-        let mut side = PopSide { subs: &stack.subs };
-        let (out, st) = Search::new(&stack.window, &stack.global, &stack.config).run_batch(
-            &mut side,
-            max,
-            &mut self.last,
-            &mut self.rng,
-            &guard,
-        );
-        let c = &*self.counters;
-        c.bump(|c| &c.probes, st.probes);
-        c.bump(|c| &c.cas_failures, st.cas_failures);
-        c.bump(|c| &c.global_restarts, st.restarts);
-        c.bump(|c| &c.shifts_down, st.shifts);
-        c.bump(|c| &c.empty_pops, u64::from(st.empty));
-        // An empty-terminated batch counts its empty observation as one
-        // op, mirroring the singular pop that would have returned `None`.
-        let n = out.len() as u64 + u64::from(st.empty);
-        c.bump(|c| &c.ops, n);
-        c.bump(|c| &c.batched_ops, n);
-        c.bump(|c| &c.search_rounds, 1);
-        if let Some(r) = stack.telemetry.recorder() {
-            if st.shifts > 0 {
-                r.window_shift(ShiftDir::Down, st.shifts);
-            }
-            if let Some(t0) = start {
-                r.op_sample(OpKind::Pop, clock::now_ns().saturating_sub(t0));
-            }
-        }
+        let mut out = Vec::with_capacity(max);
+        self.op(max, true, |c| PopSide { subs: &c.subs }, |v| out.push(v));
         out
-    }
-}
-
-impl<T> fmt::Debug for Handle2D<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Handle2D").field("last", &self.last).finish()
     }
 }
 
@@ -744,27 +463,6 @@ impl<T> fmt::Debug for Drain<'_, T> {
     }
 }
 
-impl<T> Stack2D<T> {
-    /// Returns an iterator that pops items until the stack is empty.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stack2d::{Params, Stack2D};
-    ///
-    /// let stack = Stack2D::new(Params::default());
-    /// stack.push(1);
-    /// stack.push(2);
-    /// let mut items: Vec<i32> = stack.drain().collect();
-    /// items.sort();
-    /// assert_eq!(items, vec![1, 2]);
-    /// assert!(stack.is_empty());
-    /// ```
-    pub fn drain(&self) -> Drain<'_, T> {
-        Drain { handle: self.handle() }
-    }
-}
-
 impl<T: Send> Extend<T> for Stack2D<T> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         let mut h = self.handle();
@@ -776,7 +474,7 @@ impl<T: Send> Extend<T> for Stack2D<T> {
 
 impl<T: Send> FromIterator<T> for Stack2D<T> {
     /// Collects into a stack with [`Params::default`]; use
-    /// [`Stack2D::new`] + [`Extend`] to control parameters.
+    /// [`Window2D::new`] + [`Extend`] to control parameters.
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut stack = Stack2D::new(Params::default());
         stack.extend(iter);
@@ -791,15 +489,15 @@ impl<T: Send> ConcurrentStack<T> for Stack2D<T> {
         T: 'a;
 
     fn handle(&self) -> Self::Handle<'_> {
-        Stack2D::handle(self)
+        Window2D::handle(self)
     }
 
     fn handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
-        Stack2D::handle_seeded(self, seed)
+        Window2D::handle_seeded(self, seed)
     }
 
     fn name(&self) -> &'static str {
-        "2D-stack"
+        <StackCells<T> as Cells>::NAME
     }
 
     fn relaxation_bound(&self) -> Option<usize> {
@@ -825,51 +523,11 @@ impl<T: Send> StackHandle<T> for Handle2D<'_, T> {
     }
 }
 
-crate::impl_relaxed_ops_for_stack!(Stack2D);
-
-impl<T: Send> ElasticTarget for Stack2D<T> {
-    fn window(&self) -> WindowInfo {
-        Stack2D::window(self)
-    }
-
-    fn capacity(&self) -> usize {
-        Stack2D::capacity(self)
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        Stack2D::metrics(self)
-    }
-
-    fn retune(&self, params: Params) -> Result<WindowInfo, RetuneError> {
-        Stack2D::retune(self, params)
-    }
-
-    fn try_commit_shrink(&self) -> Option<WindowInfo> {
-        Stack2D::try_commit_shrink(self)
-    }
-
-    fn is_elastic(&self) -> bool {
-        Stack2D::is_elastic(self)
-    }
-
-    fn k_bound_instantaneous(&self) -> usize {
-        Stack2D::k_bound_instantaneous(self)
-    }
-
-    fn target_name(&self) -> &'static str {
-        "2d-stack"
-    }
-
-    fn recorder(&self) -> Option<&dyn Recorder> {
-        Stack2D::recorder(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::search::SearchPolicy;
-    use crate::sync::atomic::AtomicBool;
+    use crate::sync::atomic::{AtomicBool, Ordering};
     use crate::sync::Arc;
     use std::collections::HashSet;
 

@@ -12,10 +12,11 @@
 //! `crossbeam-epoch`. Operations therefore never block on a retune.
 //!
 //! Nothing in the descriptor machinery is stack-specific, so it lives in
-//! `ElasticWindow`, shared by all three windowed structures:
-//! [`Stack2D`](crate::Stack2D) holds one, [`Queue2D`](crate::Queue2D)
-//! holds two (one per window — put and get; see DESIGN.md §7), and
-//! [`Counter2D`](crate::Counter2D) holds one.
+//! `ElasticWindow`, paired with its `Global` as a [`Lane`] and shared by
+//! all three windowed structures: [`Stack2D`](crate::Stack2D) and
+//! [`Counter2D`](crate::Counter2D) have one lane,
+//! [`Queue2D`](crate::Queue2D) has two (one per window — put and get; see
+//! DESIGN.md §7).
 //!
 //! # Width growth and shrink
 //!
@@ -50,7 +51,7 @@
 //! crate checks measured error distances *per generation segment* against
 //! the bound in force when the operation happened.
 
-use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::Arc;
 use core::fmt;
 use core::ops::Range;
@@ -59,6 +60,44 @@ use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned};
 use crossbeam_utils::CachePadded;
 
 use crate::params::Params;
+
+/// One window lane of a windowed structure: a hot-swappable window
+/// descriptor plus the `Global` counter it positions. The stack and the
+/// counter have one lane; the queue has two (put and get). Opaque outside
+/// the crate — it only appears in the signatures of
+/// [`Cells`](crate::window2d::Cells).
+pub struct Lane {
+    /// The paper's `Global`: the window's upper edge, in items (or
+    /// operations) per sub-structure.
+    pub(crate) global: CachePadded<AtomicUsize>,
+    /// The live window descriptor, hot-swapped by `retune`.
+    pub(crate) window: ElasticWindow,
+}
+
+impl Lane {
+    /// A lane positioned at `params`' initial window.
+    pub(crate) fn new(params: Params) -> Self {
+        Lane {
+            global: CachePadded::new(AtomicUsize::new(params.initial_global())),
+            window: ElasticWindow::new(params),
+        }
+    }
+
+    /// The current `Global` (diagnostic).
+    #[inline]
+    pub(crate) fn global(&self) -> usize {
+        self.global.load(Ordering::SeqCst)
+    }
+}
+
+impl fmt::Debug for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lane")
+            .field("global", &self.global())
+            .field("window", &self.window)
+            .finish()
+    }
+}
 
 /// The live window configuration of a windowed structure:
 /// heap-allocated, swung atomically by `retune`, reclaimed by epochs.

@@ -6,15 +6,18 @@
 //! acceptor and every connection poll on their idle ticks — raised either
 //! by [`ServerHandle::request_shutdown`] or by a `Shutdown` request on
 //! any connection — so the whole fleet drains within one read-timeout of
-//! the flag flipping. [`ServerHandle::shutdown`] then joins every thread,
-//! flushes the telemetry export, and returns a per-tenant summary.
+//! the flag flipping. The acceptor joins finished connection threads on
+//! every tick, so it holds one handle per live connection rather than one
+//! per connection ever accepted. [`ServerHandle::shutdown`] then joins
+//! every thread, flushes the telemetry export, and returns a per-tenant
+//! summary.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use stack2d::sync::atomic::{AtomicBool, Ordering};
+use stack2d::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use stack2d::sync::{thread, Arc};
 
 use crate::conn::{serve_connection, ConnContext};
@@ -98,18 +101,20 @@ impl Server {
         let registry = telemetry.as_ref().map(ServerTelemetry::registry);
         let tenants = Arc::new(TenantMap::new(config.tenants.clone(), registry));
         let stop = Arc::new(AtomicBool::new(false));
+        let held = Arc::new(AtomicUsize::new(0));
 
         let acceptor = {
             let tenants = Arc::clone(&tenants);
             let stop = Arc::clone(&stop);
+            let held = Arc::clone(&held);
             let max_frame_len = config.max_frame_len;
             let read_timeout = config.read_timeout;
             thread::spawn(move || {
-                accept_loop(&listener, &tenants, &stop, max_frame_len, read_timeout)
+                accept_loop(&listener, &tenants, &stop, &held, max_frame_len, read_timeout)
             })
         };
 
-        Ok(ServerHandle { local_addr, stop, tenants, telemetry, acceptor: Some(acceptor) })
+        Ok(ServerHandle { local_addr, stop, held, tenants, telemetry, acceptor: Some(acceptor) })
     }
 }
 
@@ -119,12 +124,19 @@ fn accept_loop(
     listener: &TcpListener,
     tenants: &Arc<TenantMap>,
     stop: &Arc<AtomicBool>,
+    held: &AtomicUsize,
     max_frame_len: u32,
     read_timeout: Duration,
 ) -> ConnHandles {
     let mut conns: ConnHandles = Vec::new();
     let mut next_conn_id: u64 = 1;
     while !stop.load(Ordering::Acquire) {
+        // Reap: join the connections that already ended, so churning
+        // clients do not pile up handles until shutdown.
+        for done in conns.extract_if(.., |c| c.is_finished()) {
+            let _ = done.join();
+        }
+        held.store(conns.len(), Ordering::Relaxed);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let ctx = ConnContext {
@@ -158,6 +170,8 @@ fn configure(stream: &TcpStream, read_timeout: Duration) -> io::Result<()> {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// Connection handles the acceptor held at its last tick.
+    held: Arc<AtomicUsize>,
     tenants: Arc<TenantMap>,
     telemetry: Option<ServerTelemetry>,
     acceptor: Option<thread::JoinHandle<ConnHandles>>,
@@ -177,6 +191,13 @@ impl ServerHandle {
     /// Whether shutdown has been requested (locally or over the wire).
     pub fn shutdown_requested(&self) -> bool {
         self.stop.load(Ordering::Acquire)
+    }
+
+    /// Connection thread handles the acceptor holds, as of its last tick:
+    /// live connections plus any that ended since (the acceptor joins
+    /// those on every tick).
+    pub fn connection_handles(&self) -> usize {
+        self.held.load(Ordering::Relaxed)
     }
 
     /// Blocks until shutdown is requested, polling on the accept cadence.
