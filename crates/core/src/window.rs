@@ -90,15 +90,6 @@ impl Lane {
     }
 }
 
-impl fmt::Debug for Lane {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Lane")
-            .field("global", &self.global())
-            .field("window", &self.window)
-            .finish()
-    }
-}
-
 /// The live window configuration of a windowed structure:
 /// heap-allocated, swung atomically by `retune`, reclaimed by epochs.
 pub(crate) struct WindowDesc {
