@@ -923,6 +923,28 @@ mod tests {
     }
 
     #[test]
+    fn retune_beyond_capacity_is_rejected_and_leaves_both_windows() {
+        let q: Queue2D<u32> =
+            Queue2D::builder().params(params(2, 1, 1)).elastic_capacity(8).build().unwrap();
+        let info = q.retune(params(8, 2, 1)).unwrap();
+        assert_eq!(info.width(), 8);
+        let (put, get) = (q.put_window(), q.window());
+        assert_eq!(
+            q.retune(params(9, 1, 1)).unwrap_err(),
+            crate::window::RetuneError::ExceedsCapacity { requested: 9, capacity: 8 }
+        );
+        assert_eq!(q.put_window(), put, "a rejected retune must not swing the put window");
+        assert_eq!(q.window(), get, "a rejected retune must not swing the get window");
+        assert_eq!(q.metrics().retunes, 1);
+    }
+
+    #[test]
+    fn builder_for_bound_respects_the_bound() {
+        let q: Queue2D<u64> = Queue2D::builder().for_bound(30).build().unwrap();
+        assert!(q.k_bound() <= 30, "k_bound {} exceeds 30", q.k_bound());
+    }
+
+    #[test]
     fn instantaneous_bound_counts_residency() {
         let q: Queue2D<u64> =
             Queue2D::builder().params(params(1, 1, 1)).elastic_capacity(8).build().unwrap();

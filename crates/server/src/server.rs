@@ -17,7 +17,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use stack2d::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use stack2d::sync::atomic::{AtomicBool, Ordering};
 use stack2d::sync::{thread, Arc};
 
 use crate::conn::{serve_connection, ConnContext};
@@ -101,20 +101,18 @@ impl Server {
         let registry = telemetry.as_ref().map(ServerTelemetry::registry);
         let tenants = Arc::new(TenantMap::new(config.tenants.clone(), registry));
         let stop = Arc::new(AtomicBool::new(false));
-        let held = Arc::new(AtomicUsize::new(0));
 
         let acceptor = {
             let tenants = Arc::clone(&tenants);
             let stop = Arc::clone(&stop);
-            let held = Arc::clone(&held);
             let max_frame_len = config.max_frame_len;
             let read_timeout = config.read_timeout;
             thread::spawn(move || {
-                accept_loop(&listener, &tenants, &stop, &held, max_frame_len, read_timeout)
+                accept_loop(&listener, &tenants, &stop, max_frame_len, read_timeout)
             })
         };
 
-        Ok(ServerHandle { local_addr, stop, held, tenants, telemetry, acceptor: Some(acceptor) })
+        Ok(ServerHandle { local_addr, stop, tenants, telemetry, acceptor: Some(acceptor) })
     }
 }
 
@@ -124,7 +122,6 @@ fn accept_loop(
     listener: &TcpListener,
     tenants: &Arc<TenantMap>,
     stop: &Arc<AtomicBool>,
-    held: &AtomicUsize,
     max_frame_len: u32,
     read_timeout: Duration,
 ) -> ConnHandles {
@@ -136,7 +133,6 @@ fn accept_loop(
         for done in conns.extract_if(.., |c| c.is_finished()) {
             let _ = done.join();
         }
-        held.store(conns.len(), Ordering::Relaxed);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let ctx = ConnContext {
@@ -170,8 +166,6 @@ fn configure(stream: &TcpStream, read_timeout: Duration) -> io::Result<()> {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// Connection handles the acceptor held at its last tick.
-    held: Arc<AtomicUsize>,
     tenants: Arc<TenantMap>,
     telemetry: Option<ServerTelemetry>,
     acceptor: Option<thread::JoinHandle<ConnHandles>>,
@@ -191,13 +185,6 @@ impl ServerHandle {
     /// Whether shutdown has been requested (locally or over the wire).
     pub fn shutdown_requested(&self) -> bool {
         self.stop.load(Ordering::Acquire)
-    }
-
-    /// Connection thread handles the acceptor holds, as of its last tick:
-    /// live connections plus any that ended since (the acceptor joins
-    /// those on every tick).
-    pub fn connection_handles(&self) -> usize {
-        self.held.load(Ordering::Relaxed)
     }
 
     /// Blocks until shutdown is requested, polling on the accept cadence.
@@ -259,4 +246,46 @@ fn summarize(tenants: &TenantMap) -> Vec<TenantSummary> {
         .collect();
     out.sort_by(|a, b| (a.personality.name(), &a.name).cmp(&(b.personality.name(), &b.name)));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    /// A long-lived server with churning clients must not keep a join
+    /// handle per connection it ever accepted: finished connection
+    /// threads are joined on the acceptor's next tick.
+    #[test]
+    fn churning_connections_are_reaped() {
+        const CONNECTIONS: usize = 300;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let tenants = Arc::new(TenantMap::new(TenantConfig::default(), None));
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let (tenants, stop) = (Arc::clone(&tenants), Arc::clone(&stop));
+            thread::spawn(move || {
+                accept_loop(&listener, &tenants, &stop, DEFAULT_MAX_FRAME_LEN, DEFAULT_READ_TIMEOUT)
+            })
+        };
+        for _ in 0..CONNECTIONS {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+            // EOF here means the server thread saw our EOF and dropped
+            // its end, so it is finishing.
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).expect("read to EOF");
+        }
+        // A few accept ticks to reap the last connections.
+        thread::sleep(ACCEPT_POLL * 50);
+        stop.store(true, Ordering::Release);
+        let conns = acceptor.join().expect("acceptor");
+        let held = conns.len();
+        for c in conns {
+            c.join().expect("connection thread");
+        }
+        assert!(held <= 8, "{held} of {CONNECTIONS} closed connections still hold a join handle");
+    }
 }
