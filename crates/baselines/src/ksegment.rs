@@ -32,7 +32,7 @@ use stack2d::sync::atomic::{AtomicBool, Ordering};
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 
 use stack2d::rng::HopRng;
-use stack2d::{ConcurrentStack, StackHandle};
+use stack2d::{OpsHandle, RelaxedOps};
 
 struct Item<T> {
     value: ManuallyDrop<T>,
@@ -126,7 +126,7 @@ impl<T> KSegmentStack<T> {
     where
         T: Send,
     {
-        self.handle().push(value);
+        self.ops_handle().produce(value);
     }
 
     /// Pops through a temporary handle.
@@ -134,7 +134,7 @@ impl<T> KSegmentStack<T> {
     where
         T: Send,
     {
-        self.handle().pop()
+        self.ops_handle().consume()
     }
 
     /// Scans `seg` for an occupied slot starting at `start`; attempts to
@@ -224,8 +224,8 @@ impl<T> fmt::Debug for KSegmentHandle<'_, T> {
     }
 }
 
-impl<T: Send> StackHandle<T> for KSegmentHandle<'_, T> {
-    fn push(&mut self, value: T) {
+impl<T: Send> OpsHandle<T> for KSegmentHandle<'_, T> {
+    fn produce(&mut self, value: T) {
         let stack = self.stack;
         let k = stack.k;
         let guard = epoch::pin();
@@ -315,7 +315,7 @@ impl<T: Send> StackHandle<T> for KSegmentHandle<'_, T> {
         }
     }
 
-    fn pop(&mut self) -> Option<T> {
+    fn consume(&mut self) -> Option<T> {
         let stack = self.stack;
         let guard = epoch::pin();
         loop {
@@ -358,17 +358,17 @@ impl<T: Send> StackHandle<T> for KSegmentHandle<'_, T> {
     }
 }
 
-impl<T: Send> ConcurrentStack<T> for KSegmentStack<T> {
+impl<T: Send> RelaxedOps<T> for KSegmentStack<T> {
     type Handle<'a>
         = KSegmentHandle<'a, T>
     where
         T: 'a;
 
-    fn handle(&self) -> Self::Handle<'_> {
+    fn ops_handle(&self) -> Self::Handle<'_> {
         KSegmentHandle { stack: self, rng: HopRng::from_thread() }
     }
 
-    fn handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
+    fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
         KSegmentHandle { stack: self, rng: HopRng::seeded(seed) }
     }
 
@@ -383,8 +383,6 @@ impl<T: Send> ConcurrentStack<T> for KSegmentStack<T> {
     }
 }
 
-stack2d::impl_relaxed_ops_for_stack!(KSegmentStack);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,14 +392,14 @@ mod tests {
     #[test]
     fn k_one_is_strict_lifo() {
         let s = KSegmentStack::new(1);
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         for i in 0..200 {
-            h.push(i);
+            h.produce(i);
         }
         for i in (0..200).rev() {
-            assert_eq!(h.pop(), Some(i), "k=1 must be strict LIFO");
+            assert_eq!(h.consume(), Some(i), "k=1 must be strict LIFO");
         }
-        assert_eq!(h.pop(), None);
+        assert_eq!(h.consume(), None);
     }
 
     #[test]
@@ -413,12 +411,12 @@ mod tests {
     #[test]
     fn all_items_recovered() {
         let s = KSegmentStack::new(8);
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         for i in 0..1_000 {
-            h.push(i);
+            h.produce(i);
         }
         let mut seen = HashSet::new();
-        while let Some(v) = h.pop() {
+        while let Some(v) = h.consume() {
             assert!(seen.insert(v));
         }
         assert_eq!(seen.len(), 1_000);
@@ -428,15 +426,15 @@ mod tests {
     #[test]
     fn segments_appear_and_disappear() {
         let s = KSegmentStack::new(2);
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         // 10 items over k=2 forces several segment appends...
         for i in 0..10 {
-            h.push(i);
+            h.produce(i);
         }
         // ...and draining forces removals, back to a single empty segment.
-        while h.pop().is_some() {}
+        while h.consume().is_some() {}
         assert!(s.is_empty());
-        assert_eq!(h.pop(), None);
+        assert_eq!(h.consume(), None);
     }
 
     #[test]
@@ -445,15 +443,15 @@ mod tests {
         // bounded by k (items in the top segment are unordered).
         let k = 4;
         let s = KSegmentStack::new(k);
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         let n: usize = 400;
         for i in 0..n {
-            h.push(i);
+            h.produce(i);
         }
         // Strict stack order would be n-1, n-2, ...; the segmented stack may
         // permute within a window of k.
         let mut expected_top = n - 1;
-        while let Some(v) = h.pop() {
+        while let Some(v) = h.consume() {
             let err = expected_top.abs_diff(v);
             assert!(err <= k, "pop {v} is {err} > k={k} from strict top {expected_top}");
             expected_top = expected_top.saturating_sub(1);
@@ -469,12 +467,12 @@ mod tests {
         for t in 0..THREADS {
             let s = Arc::clone(&s);
             joins.push(stack2d::sync::thread::spawn(move || {
-                let mut h = s.handle();
+                let mut h = s.ops_handle();
                 let mut got = Vec::new();
                 for i in 0..PER {
-                    h.push((t * PER + i) as u64);
+                    h.produce((t * PER + i) as u64);
                     if i % 2 == 1 {
-                        if let Some(v) = h.pop() {
+                        if let Some(v) = h.consume() {
                             got.push(v);
                         }
                     }
@@ -486,8 +484,8 @@ mod tests {
         for j in joins {
             all.extend(j.join().unwrap());
         }
-        let mut h = s.handle();
-        while let Some(v) = h.pop() {
+        let mut h = s.ops_handle();
+        while let Some(v) = h.consume() {
             all.push(v);
         }
         all.sort_unstable();
@@ -502,12 +500,12 @@ mod tests {
         for _ in 0..4 {
             let s = Arc::clone(&s);
             joins.push(stack2d::sync::thread::spawn(move || {
-                let mut h = s.handle();
+                let mut h = s.ops_handle();
                 let mut balance: i64 = 0;
                 for i in 0..10_000u64 {
-                    h.push(i);
+                    h.produce(i);
                     balance += 1;
-                    if h.pop().is_some() {
+                    if h.consume().is_some() {
                         balance -= 1;
                     }
                 }
@@ -515,9 +513,9 @@ mod tests {
             }));
         }
         let pushed_minus_popped: i64 = joins.into_iter().map(|j| j.join().unwrap()).sum();
-        let mut h = s.handle();
+        let mut h = s.ops_handle();
         let mut rest = 0i64;
-        while h.pop().is_some() {
+        while h.consume().is_some() {
             rest += 1;
         }
         assert_eq!(rest, pushed_minus_popped);
@@ -535,11 +533,11 @@ mod tests {
         let drops = Arc::new(AU::new(0));
         {
             let s = KSegmentStack::new(3);
-            let mut h = s.handle();
+            let mut h = s.ops_handle();
             for _ in 0..20 {
-                h.push(Canary(drops.clone()));
+                h.produce(Canary(drops.clone()));
             }
-            drop(h.pop());
+            drop(h.consume());
         }
         assert_eq!(drops.load(Ordering::SeqCst), 20);
     }
@@ -547,8 +545,8 @@ mod tests {
     #[test]
     fn trait_metadata() {
         let s: KSegmentStack<u8> = KSegmentStack::new(7);
-        assert_eq!(ConcurrentStack::<u8>::name(&s), "k-segment");
-        assert_eq!(ConcurrentStack::<u8>::relaxation_bound(&s), Some(6));
+        assert_eq!(RelaxedOps::<u8>::name(&s), "k-segment");
+        assert_eq!(RelaxedOps::<u8>::relaxation_bound(&s), Some(6));
         assert_eq!(s.k(), 7);
     }
 }

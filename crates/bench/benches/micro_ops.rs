@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 
 use stack2d::rng::HopRng;
 use stack2d::substack::SubStack;
-use stack2d::{ConcurrentStack, Params, StackHandle};
+use stack2d::{OpsHandle, Params, RelaxedOps};
 use stack2d_harness::{Algorithm, AnyStack, BuildSpec};
 use stack2d_quality::Oracle;
 
@@ -18,11 +18,11 @@ fn bench_single_thread_ops(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
     for algo in Algorithm::ALL {
         let stack = AnyStack::build(algo, BuildSpec::high_throughput(1));
-        let mut h = stack.handle();
+        let mut h = stack.ops_handle();
         group.bench_function(algo.name(), |b| {
             b.iter(|| {
-                h.push(1);
-                h.pop()
+                h.produce(1);
+                h.consume()
             });
         });
     }

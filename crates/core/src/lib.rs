@@ -67,10 +67,10 @@
 //!   shared by all three windowed structures (with [`Builder::seed`] for
 //!   deterministic handle sequences and [`Builder::elastic_capacity`] for
 //!   retunable headroom);
-//! * [`traits`] — [`RelaxedOps`]/[`OpsHandle`], the structure-generic
-//!   produce/consume contract the workload runner drives, plus the
-//!   LIFO-specific [`ConcurrentStack`] refinement shared with every
-//!   baseline;
+//! * [`traits`] — [`RelaxedOps`]/[`OpsHandle`], the one structure-generic
+//!   produce/consume contract shared by the 2D structures and every
+//!   baseline, which the workload runner, the harness, the quality
+//!   pipeline and the server drive;
 //! * [`window2d`] / [`Window2D`] — the one structure shell: construction,
 //!   accessors, retune accounting, handles and the single op path, shared
 //!   by [`Stack2D`], [`Queue2D`] and [`Counter2D`] (type aliases of
@@ -143,6 +143,6 @@ pub use queue2d::{Queue2D, QueueHandle};
 pub use search::{SearchConfig, SearchPolicy};
 pub use stack::{Handle2D, Stack2D};
 pub use telemetry::{NoopRecorder, Recorder};
-pub use traits::{ConcurrentStack, ElasticTarget, OpsHandle, RelaxedOps, StackHandle, StackOps};
+pub use traits::{ElasticTarget, OpsHandle, RelaxedOps};
 pub use window::{RetuneError, WindowInfo};
 pub use window2d::{Window2D, WindowHandle};

@@ -30,36 +30,41 @@ use crossbeam_utils::CachePadded;
 /// Internal counter block owned by each windowed structure
 /// ([`Stack2D`](crate::Stack2D), [`Queue2D`](crate::Queue2D),
 /// [`Counter2D`](crate::Counter2D)).
+///
+/// The fields are unpadded: a per-handle block has one writer, and the
+/// shared base block is written only on retune and handle drop. Padding
+/// goes around the whole per-handle block instead
+/// ([`CounterHub::register`]).
 #[derive(Debug, Default)]
 pub(crate) struct OpCounters {
     /// Descriptor CASes lost to another thread.
-    pub cas_failures: CachePadded<AtomicU64>,
+    pub cas_failures: AtomicU64,
     /// Sub-stack validations performed (window checks).
-    pub probes: CachePadded<AtomicU64>,
+    pub probes: AtomicU64,
     /// Successful `Global` raises (push side).
-    pub shifts_up: CachePadded<AtomicU64>,
+    pub shifts_up: AtomicU64,
     /// Successful `Global` lowers (pop side).
-    pub shifts_down: CachePadded<AtomicU64>,
+    pub shifts_down: AtomicU64,
     /// Search rounds abandoned because `Global` changed mid-search.
-    pub global_restarts: CachePadded<AtomicU64>,
+    pub global_restarts: AtomicU64,
     /// Pops that returned `None` after a covering sweep saw all empty.
-    pub empty_pops: CachePadded<AtomicU64>,
+    pub empty_pops: AtomicU64,
     /// Completed operations (pushes + pops, including empty pops).
-    pub ops: CachePadded<AtomicU64>,
+    pub ops: AtomicU64,
     /// Operations completed inside a batched call (`push_n`/`pop_n`);
     /// a subset of `ops`.
-    pub batched_ops: CachePadded<AtomicU64>,
+    pub batched_ops: AtomicU64,
     /// Engine invocations (one per `push`/`pop`/`increment` and one per
     /// whole batched call) — the denominator that keeps per-search-round
     /// rates honest under batching.
-    pub search_rounds: CachePadded<AtomicU64>,
+    pub search_rounds: AtomicU64,
     /// Window-descriptor swings (retunes and shrink commits).
-    pub retunes: CachePadded<AtomicU64>,
+    pub retunes: AtomicU64,
 }
 
 impl OpCounters {
     #[inline]
-    pub(crate) fn add(&self, field: impl Fn(&Self) -> &CachePadded<AtomicU64>, n: u64) {
+    pub(crate) fn add(&self, field: impl Fn(&Self) -> &AtomicU64, n: u64) {
         if n > 0 {
             field(self).fetch_add(n, Ordering::Relaxed);
         }
@@ -70,7 +75,7 @@ impl OpCounters {
     /// load+store replaces the locked read-modify-write — the difference
     /// is most of the metrics overhead of an uncontended op.
     #[inline]
-    pub(crate) fn bump(&self, field: impl Fn(&Self) -> &CachePadded<AtomicU64>, n: u64) {
+    pub(crate) fn bump(&self, field: impl Fn(&Self) -> &AtomicU64, n: u64) {
         if n > 0 {
             let f = field(self);
             f.store(f.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
@@ -140,7 +145,7 @@ pub(crate) struct CounterHub {
 
 #[derive(Debug, Default)]
 struct HubInner {
-    locals: Vec<Arc<OpCounters>>,
+    locals: Vec<Arc<CachePadded<OpCounters>>>,
     /// Raw totals at the last [`CounterHub::reset`]: per-handle blocks are
     /// single-writer and must never be stored to from outside, so a reset
     /// subtracts instead of zeroing.
@@ -151,22 +156,23 @@ impl CounterHub {
     /// Structure-level events (retunes, shrink commits) — multi-writer,
     /// goes to the shared base block.
     #[inline]
-    pub(crate) fn add(&self, field: impl Fn(&OpCounters) -> &CachePadded<AtomicU64>, n: u64) {
+    pub(crate) fn add(&self, field: impl Fn(&OpCounters) -> &AtomicU64, n: u64) {
         self.base.add(field, n);
     }
 
     /// A fresh per-handle block, summed into snapshots while registered.
     /// The caller must pass it back to [`CounterHub::release`] when the
-    /// handle drops.
-    pub(crate) fn register(&self) -> Arc<OpCounters> {
-        let block = Arc::new(OpCounters::default());
+    /// handle drops. The block is padded as a whole, so no two handles'
+    /// blocks share a cache line.
+    pub(crate) fn register(&self) -> Arc<CachePadded<OpCounters>> {
+        let block = Arc::new(CachePadded::new(OpCounters::default()));
         self.inner.lock().locals.push(Arc::clone(&block));
         block
     }
 
     /// Unregisters a handle's block, folding its counts into the base so
     /// totals are unaffected by the handle's lifetime.
-    pub(crate) fn release(&self, block: &Arc<OpCounters>) {
+    pub(crate) fn release(&self, block: &Arc<CachePadded<OpCounters>>) {
         let mut inner = self.inner.lock();
         if let Some(i) = inner.locals.iter().position(|b| Arc::ptr_eq(b, block)) {
             inner.locals.swap_remove(i);

@@ -31,7 +31,6 @@ use crate::params::Params;
 use crate::search::SearchConfig;
 use crate::substack::{Contended, PreparedNode, SubStack};
 use crate::telemetry::OpKind;
-use crate::traits::{ConcurrentStack, ElasticTarget, StackHandle};
 use crate::window::{Lane, WindowDesc, WindowInfo};
 use crate::window2d::{Cells, Sealed, Window2D, WindowHandle};
 
@@ -482,53 +481,13 @@ impl<T: Send> FromIterator<T> for Stack2D<T> {
     }
 }
 
-impl<T: Send> ConcurrentStack<T> for Stack2D<T> {
-    type Handle<'a>
-        = Handle2D<'a, T>
-    where
-        T: 'a;
-
-    fn handle(&self) -> Self::Handle<'_> {
-        Window2D::handle(self)
-    }
-
-    fn handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
-        Window2D::handle_seeded(self, seed)
-    }
-
-    fn name(&self) -> &'static str {
-        <StackCells<T> as Cells>::NAME
-    }
-
-    fn relaxation_bound(&self) -> Option<usize> {
-        Some(ElasticTarget::reported_bound(self))
-    }
-}
-
-impl<T: Send> StackHandle<T> for Handle2D<'_, T> {
-    fn push(&mut self, value: T) {
-        Handle2D::push(self, value);
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        Handle2D::pop(self)
-    }
-
-    fn push_n(&mut self, values: Vec<T>) {
-        Handle2D::push_n(self, values);
-    }
-
-    fn pop_n(&mut self, max: usize) -> Vec<T> {
-        Handle2D::pop_n(self, max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::search::SearchPolicy;
     use crate::sync::atomic::{AtomicBool, Ordering};
     use crate::sync::Arc;
+    use crate::traits::{OpsHandle, RelaxedOps};
     use std::collections::HashSet;
 
     fn params(w: usize, d: usize, s: usize) -> Params {
@@ -1097,20 +1056,20 @@ mod tests {
 
     #[test]
     fn trait_object_style_generic_use() {
-        fn run<S: ConcurrentStack<u64>>(s: &S) -> usize {
-            let mut h = s.handle();
+        fn run<S: RelaxedOps<u64>>(s: &S) -> usize {
+            let mut h = s.ops_handle();
             for i in 0..64 {
-                StackHandle::push(&mut h, i);
+                h.produce(i);
             }
             let mut n = 0;
-            while StackHandle::pop(&mut h).is_some() {
+            while h.consume().is_some() {
                 n += 1;
             }
             n
         }
         let stack = Stack2D::new(params(4, 2, 2));
         assert_eq!(run(&stack), 64);
-        assert_eq!(ConcurrentStack::<u64>::name(&stack), "2D-stack");
-        assert_eq!(ConcurrentStack::<u64>::relaxation_bound(&stack), Some(stack.k_bound()));
+        assert_eq!(RelaxedOps::<u64>::name(&stack), "2D-stack");
+        assert_eq!(RelaxedOps::<u64>::relaxation_bound(&stack), Some(stack.k_bound()));
     }
 }

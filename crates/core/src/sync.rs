@@ -9,8 +9,9 @@
 //! thread interleavings of the retune / shrink / drain protocols with a
 //! loom-style schedule scheduler (see DESIGN.md §10).
 //!
-//! CI's api-hygiene job denies direct `std::sync::atomic` / `core::sync::atomic`
-//! / `std::thread` imports in `crates/core/src`, so a new protocol cannot
+//! The archlint `facade-only-sync` rule denies direct `std::sync::atomic` /
+//! `core::sync::atomic` / `std::thread` imports in `crates/core/src` and the
+//! other model-checked crates (DESIGN.md §12), so a new protocol cannot
 //! accidentally bypass the model checker by using raw primitives.
 //!
 //! # Examples

@@ -1,15 +1,12 @@
 //! Common interfaces: the structure-generic produce/consume contract
-//! ([`RelaxedOps`]), the stack contract shared with every baseline
-//! ([`ConcurrentStack`]), and the elastic contract shared by every
+//! ([`RelaxedOps`]/[`OpsHandle`]) and the elastic contract shared by every
 //! windowed structure ([`ElasticTarget`]).
 //!
-//! The workload runner and the experiment harness are generic over
-//! [`RelaxedOps`], so the exact same driver code runs the 2D-Stack, the
-//! 2D-Queue, the 2D-Counter and every baseline — only the structure type
-//! changes, as in the paper's evaluation. [`ConcurrentStack`] is the
-//! LIFO-specific refinement the stack baselines and the quality oracle
-//! speak (every `ConcurrentStack` is adapted into a `RelaxedOps` by
-//! [`impl_relaxed_ops_for_stack!`](crate::impl_relaxed_ops_for_stack)).
+//! The workload runner, the experiment harness, the quality pipeline and
+//! the server are generic over [`RelaxedOps`], so the exact same driver
+//! code runs the 2D-Stack, the 2D-Queue, the 2D-Counter and every
+//! baseline — only the structure type changes, as in the paper's
+//! evaluation. For a stack, produce is a push and consume a pop.
 //! [`ElasticTarget`] plays the same role for the elastic runtime: the
 //! `stack2d-adaptive` controllers and drivers are generic over it, so one
 //! AIMD policy retunes the stack, the queue and the counter alike.
@@ -61,39 +58,16 @@ pub trait OpsHandle<T> {
     }
 }
 
-/// Adapts any [`StackHandle`] into an [`OpsHandle`] (produce = push,
-/// consume = pop). This wrapper — rather than a blanket impl — keeps
-/// coherence open for non-stack handles like the queue's.
-#[derive(Debug)]
-pub struct StackOps<H>(pub H);
-
-impl<T, H: StackHandle<T>> OpsHandle<T> for StackOps<H> {
-    fn produce(&mut self, value: T) {
-        self.0.push(value);
-    }
-
-    fn consume(&mut self) -> Option<T> {
-        self.0.pop()
-    }
-
-    fn produce_n(&mut self, values: Vec<T>) {
-        self.0.push_n(values);
-    }
-
-    fn consume_n(&mut self, max: usize) -> Vec<T> {
-        self.0.pop_n(max)
-    }
-}
-
 /// A concurrent structure with (possibly relaxed) produce/consume
 /// semantics, accessed through per-thread handles — the contract the
 /// generic workload runner and the harness registry drive.
 ///
 /// Implemented by all three 2D structures ([`Stack2D`](crate::Stack2D),
 /// [`Queue2D`](crate::Queue2D), [`Counter2D`](crate::Counter2D)) and by
-/// every baseline (stacks via
-/// [`impl_relaxed_ops_for_stack!`](crate::impl_relaxed_ops_for_stack), the
-/// locked queue directly), so one driver measures the whole family.
+/// every baseline, so one driver measures the whole family. Handles carry
+/// whatever thread-local state the algorithm needs (the 2D window's
+/// locality index and hop RNG, the elimination stack's collision slot,
+/// `k-robin`'s round-robin cursor); create one per worker thread.
 ///
 /// # Examples
 ///
@@ -135,7 +109,10 @@ pub trait RelaxedOps<T: Send>: Send + Sync {
         self.ops_handle()
     }
 
-    /// Short structure name for legends, logs and experiment CSVs.
+    /// Short structure name for legends, logs and experiment CSVs (the
+    /// paper's legends for the stacks: `"2D-stack"`, `"treiber"`,
+    /// `"elimination"`, `"k-segment"`, `"random"`, `"random-c2"`,
+    /// `"k-robin"`).
     fn name(&self) -> &'static str;
 
     /// The deterministic out-of-order bound, if the structure has one.
@@ -146,175 +123,6 @@ pub trait RelaxedOps<T: Send>: Send + Sync {
     /// sound through retune transients.
     fn relaxation_bound(&self) -> Option<usize> {
         None
-    }
-}
-
-/// Implements [`RelaxedOps`] for a [`ConcurrentStack`] type by delegation
-/// (produce = push, consume = pop, same name/bound/seeding), wrapping the
-/// stack handle in [`StackOps`].
-///
-/// Two forms: `impl_relaxed_ops_for_stack!(MyStack)` for a type generic
-/// over its item (`MyStack<T>`), and
-/// `impl_relaxed_ops_for_stack!(MyStack => u64)` for a concrete type
-/// serving one item type.
-#[macro_export]
-macro_rules! impl_relaxed_ops_for_stack {
-    ($stack:ident) => {
-        impl<T: Send> $crate::RelaxedOps<T> for $stack<T> {
-            type Handle<'a>
-                = $crate::StackOps<<$stack<T> as $crate::ConcurrentStack<T>>::Handle<'a>>
-            where
-                T: 'a;
-
-            fn ops_handle(&self) -> Self::Handle<'_> {
-                $crate::StackOps($crate::ConcurrentStack::handle(self))
-            }
-
-            fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
-                $crate::StackOps($crate::ConcurrentStack::handle_seeded(self, seed))
-            }
-
-            fn name(&self) -> &'static str {
-                $crate::ConcurrentStack::<T>::name(self)
-            }
-
-            fn relaxation_bound(&self) -> Option<usize> {
-                $crate::ConcurrentStack::<T>::relaxation_bound(self)
-            }
-        }
-    };
-    ($stack:ty => $item:ty) => {
-        impl $crate::RelaxedOps<$item> for $stack {
-            type Handle<'a> =
-                $crate::StackOps<<$stack as $crate::ConcurrentStack<$item>>::Handle<'a>>;
-
-            fn ops_handle(&self) -> Self::Handle<'_> {
-                $crate::StackOps($crate::ConcurrentStack::handle(self))
-            }
-
-            fn ops_handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
-                $crate::StackOps($crate::ConcurrentStack::handle_seeded(self, seed))
-            }
-
-            fn name(&self) -> &'static str {
-                $crate::ConcurrentStack::<$item>::name(self)
-            }
-
-            fn relaxation_bound(&self) -> Option<usize> {
-                $crate::ConcurrentStack::<$item>::relaxation_bound(self)
-            }
-        }
-    };
-}
-
-/// A concurrent stack (possibly with relaxed pop semantics) that threads
-/// access through per-thread handles.
-///
-/// Handles carry whatever thread-local state the algorithm needs: the
-/// 2D-Stack's locality index and hop RNG, the elimination stack's collision
-/// slot, `k-robin`'s round-robin cursor, and so on. Creating a handle is
-/// cheap and should be done once per worker thread.
-///
-/// # Examples
-///
-/// ```
-/// use stack2d::{ConcurrentStack, StackHandle, Params, Stack2D};
-///
-/// fn drain<S: ConcurrentStack<u32>>(stack: &S) -> usize {
-///     let mut h = stack.handle();
-///     let mut n = 0;
-///     while h.pop().is_some() {
-///         n += 1;
-///     }
-///     n
-/// }
-///
-/// let s = Stack2D::new(Params::default());
-/// s.push(1);
-/// s.push(2);
-/// assert_eq!(drain(&s), 2);
-/// ```
-pub trait ConcurrentStack<T: Send>: Send + Sync {
-    /// The per-thread access handle.
-    type Handle<'a>: StackHandle<T>
-    where
-        Self: 'a,
-        T: 'a;
-
-    /// Registers a handle for the calling thread.
-    fn handle(&self) -> Self::Handle<'_>;
-
-    /// Registers a handle with a deterministic RNG seed where the
-    /// algorithm supports it; the default ignores the seed and returns
-    /// [`handle`](ConcurrentStack::handle). Deterministic tests and the
-    /// quality pipeline use this instead of special-casing concrete
-    /// types.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stack2d::{ConcurrentStack, Params, Stack2D, StackHandle};
-    ///
-    /// fn deterministic_drain<S: ConcurrentStack<u32>>(s: &S) -> usize {
-    ///     let mut h = s.handle_seeded(42);
-    ///     let mut n = 0;
-    ///     while h.pop().is_some() {
-    ///         n += 1;
-    ///     }
-    ///     n
-    /// }
-    ///
-    /// let s = Stack2D::new(Params::default());
-    /// s.push(7);
-    /// assert_eq!(deterministic_drain(&s), 1);
-    /// ```
-    fn handle_seeded(&self, seed: u64) -> Self::Handle<'_> {
-        let _ = seed;
-        self.handle()
-    }
-
-    /// Short algorithm name as used in the paper's legends
-    /// (`"2D-stack"`, `"treiber"`, `"elimination"`, `"k-segment"`,
-    /// `"random"`, `"random-c2"`, `"k-robin"`).
-    fn name(&self) -> &'static str;
-
-    /// The deterministic k-out-of-order bound, if the algorithm has one.
-    ///
-    /// `Some(0)` means strict stack semantics; `None` means the algorithm
-    /// provides no deterministic bound (e.g. `random`).
-    fn relaxation_bound(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// Per-thread operations on a [`ConcurrentStack`].
-pub trait StackHandle<T> {
-    /// Pushes `value`.
-    fn push(&mut self, value: T);
-
-    /// Pops an item; `None` when the stack was observed empty.
-    fn pop(&mut self) -> Option<T>;
-
-    /// Pushes every value in `values`. The default loops over
-    /// [`push`](StackHandle::push); [`Handle2D`](crate::Handle2D)
-    /// overrides it with the search-amortizing batched path.
-    fn push_n(&mut self, values: Vec<T>) {
-        for v in values {
-            self.push(v);
-        }
-    }
-
-    /// Pops up to `max` items, stopping early on empty. The default loops
-    /// over [`pop`](StackHandle::pop).
-    fn pop_n(&mut self, max: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(max);
-        for _ in 0..max {
-            match self.pop() {
-                Some(v) => out.push(v),
-                None => break,
-            }
-        }
-        out
     }
 }
 
@@ -427,14 +235,14 @@ mod tests {
 
     // Compile-time checks that the trait is usable generically with scoped
     // threads, which is how the workload runner consumes it.
-    fn parallel_sum<S: ConcurrentStack<u64>>(stack: &S, threads: usize, per: usize) -> u64 {
+    fn parallel_sum<S: RelaxedOps<u64>>(stack: &S, threads: usize, per: usize) -> u64 {
         std::thread::scope(|scope| {
             let mut joins = Vec::new();
             for t in 0..threads {
                 joins.push(scope.spawn(move || {
-                    let mut h = stack.handle();
+                    let mut h = stack.ops_handle();
                     for i in 0..per {
-                        h.push((t * per + i) as u64);
+                        h.produce((t * per + i) as u64);
                     }
                 }));
             }
@@ -442,9 +250,9 @@ mod tests {
                 j.join().unwrap();
             }
         });
-        let mut h = stack.handle();
+        let mut h = stack.ops_handle();
         let mut sum = 0;
-        while let Some(v) = h.pop() {
+        while let Some(v) = h.consume() {
             sum += v;
         }
         sum
@@ -462,15 +270,15 @@ mod tests {
     fn default_relaxation_bound_is_none() {
         struct Dummy;
         struct DummyHandle;
-        impl StackHandle<u8> for DummyHandle {
-            fn push(&mut self, _: u8) {}
-            fn pop(&mut self) -> Option<u8> {
+        impl OpsHandle<u8> for DummyHandle {
+            fn produce(&mut self, _: u8) {}
+            fn consume(&mut self) -> Option<u8> {
                 None
             }
         }
-        impl ConcurrentStack<u8> for Dummy {
+        impl RelaxedOps<u8> for Dummy {
             type Handle<'a> = DummyHandle;
-            fn handle(&self) -> DummyHandle {
+            fn ops_handle(&self) -> DummyHandle {
                 DummyHandle
             }
             fn name(&self) -> &'static str {

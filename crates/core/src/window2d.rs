@@ -30,6 +30,7 @@
 use core::fmt;
 
 use crossbeam_epoch as epoch;
+use crossbeam_utils::CachePadded;
 
 use crate::builder::{Buildable, Builder};
 use crate::engine::{ProbeTarget, Search};
@@ -494,7 +495,7 @@ pub struct WindowHandle<'w, C> {
     /// This handle's private counter block (single-writer; summed into
     /// [`Window2D::metrics`] while live, folded into the shared block on
     /// drop). See [`CounterHub`].
-    counters: Arc<OpCounters>,
+    counters: Arc<CachePadded<OpCounters>>,
 }
 
 impl<C> Drop for WindowHandle<'_, C> {

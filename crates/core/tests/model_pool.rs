@@ -18,7 +18,7 @@
 
 use loomlite::{check, Config};
 use stack2d::sync::{thread, Arc};
-use stack2d::{ConcurrentStack, Params, Stack2D, StackHandle};
+use stack2d::{Params, Stack2D};
 
 #[test]
 fn pooled_retirement_never_recycles_reachable_nodes() {

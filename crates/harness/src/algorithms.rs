@@ -1,7 +1,7 @@
 //! Algorithm registry: every stack of the paper's evaluation behind one
 //! concrete type, configured the way the figures need.
 //!
-//! The workload runner is generic over [`ConcurrentStack`]; for sweeps that
+//! The workload runner is generic over [`RelaxedOps`]; for sweeps that
 //! iterate "for every algorithm …" the harness needs a single concrete
 //! type, so [`AnyStack`] wraps all seven contenders in an enum whose handle
 //! dispatches per operation. (Criterion micro-benches that care about the
@@ -10,8 +10,8 @@
 use std::fmt;
 
 use stack2d::{
-    ConcurrentStack, Counter2D, CounterHandle, OpsHandle, Params, Queue2D, QueueHandle, RelaxedOps,
-    SearchConfig, SearchPolicy, Stack2D, StackHandle, StackOps,
+    Counter2D, CounterHandle, OpsHandle, Params, Queue2D, QueueHandle, RelaxedOps, SearchConfig,
+    SearchPolicy, Stack2D,
 };
 use stack2d_baselines::{
     EliminationStack, KRobinStack, KSegmentStack, LockedQueue, LockedQueueHandle, RandomC2Stack,
@@ -113,9 +113,10 @@ pub const FIXED_KSEGMENT: usize = 256;
 pub const KROBIN_QUALITY_TARGET: usize = 512;
 
 /// Any of the seven evaluated stacks, over `u64` items.
-// Variant sizes differ by a KiB (the 2D-stack's cache-padded counters);
-// harness code creates a handful of these per experiment, so boxing the
-// large variant would only add indirection on the measured path.
+// Variant sizes differ by a few hundred bytes (the 2D-stack's cache-padded
+// `Global` and window); harness code creates a handful of these per
+// experiment, so boxing the large variant would only add indirection on
+// the measured path.
 #[allow(clippy::large_enum_variant)]
 pub enum AnyStack {
     /// See [`Algorithm::TwoD`].
@@ -211,73 +212,71 @@ impl fmt::Debug for AnyStack {
 /// Handle to an [`AnyStack`]; dispatches per operation.
 pub enum AnyHandle<'a> {
     /// Handle to a 2D-Stack.
-    TwoD(<Stack2D<u64> as ConcurrentStack<u64>>::Handle<'a>),
+    TwoD(<Stack2D<u64> as RelaxedOps<u64>>::Handle<'a>),
     /// Handle to a k-robin stack.
-    KRobin(<KRobinStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
+    KRobin(<KRobinStack<u64> as RelaxedOps<u64>>::Handle<'a>),
     /// Handle to a k-segment stack.
-    KSegment(<KSegmentStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
+    KSegment(<KSegmentStack<u64> as RelaxedOps<u64>>::Handle<'a>),
     /// Handle to a random stack.
-    Random(<RandomStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
+    Random(<RandomStack<u64> as RelaxedOps<u64>>::Handle<'a>),
     /// Handle to a random-c2 stack.
-    RandomC2(<RandomC2Stack<u64> as ConcurrentStack<u64>>::Handle<'a>),
+    RandomC2(<RandomC2Stack<u64> as RelaxedOps<u64>>::Handle<'a>),
     /// Handle to an elimination stack.
-    Elimination(<EliminationStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
+    Elimination(<EliminationStack<u64> as RelaxedOps<u64>>::Handle<'a>),
     /// Handle to a Treiber stack.
-    Treiber(<TreiberStack<u64> as ConcurrentStack<u64>>::Handle<'a>),
+    Treiber(<TreiberStack<u64> as RelaxedOps<u64>>::Handle<'a>),
 }
 
-impl StackHandle<u64> for AnyHandle<'_> {
-    fn push(&mut self, value: u64) {
+impl OpsHandle<u64> for AnyHandle<'_> {
+    fn produce(&mut self, value: u64) {
         match self {
-            AnyHandle::TwoD(h) => h.push(value),
-            AnyHandle::KRobin(h) => h.push(value),
-            AnyHandle::KSegment(h) => h.push(value),
-            AnyHandle::Random(h) => h.push(value),
-            AnyHandle::RandomC2(h) => h.push(value),
-            AnyHandle::Elimination(h) => h.push(value),
-            AnyHandle::Treiber(h) => h.push(value),
+            AnyHandle::TwoD(h) => h.produce(value),
+            AnyHandle::KRobin(h) => h.produce(value),
+            AnyHandle::KSegment(h) => h.produce(value),
+            AnyHandle::Random(h) => h.produce(value),
+            AnyHandle::RandomC2(h) => h.produce(value),
+            AnyHandle::Elimination(h) => h.produce(value),
+            AnyHandle::Treiber(h) => h.produce(value),
         }
     }
 
-    fn pop(&mut self) -> Option<u64> {
+    fn consume(&mut self) -> Option<u64> {
         match self {
-            AnyHandle::TwoD(h) => h.pop(),
-            AnyHandle::KRobin(h) => h.pop(),
-            AnyHandle::KSegment(h) => h.pop(),
-            AnyHandle::Random(h) => h.pop(),
-            AnyHandle::RandomC2(h) => h.pop(),
-            AnyHandle::Elimination(h) => h.pop(),
-            AnyHandle::Treiber(h) => h.pop(),
+            AnyHandle::TwoD(h) => h.consume(),
+            AnyHandle::KRobin(h) => h.consume(),
+            AnyHandle::KSegment(h) => h.consume(),
+            AnyHandle::Random(h) => h.consume(),
+            AnyHandle::RandomC2(h) => h.consume(),
+            AnyHandle::Elimination(h) => h.consume(),
+            AnyHandle::Treiber(h) => h.consume(),
         }
     }
 }
 
-impl ConcurrentStack<u64> for AnyStack {
+impl RelaxedOps<u64> for AnyStack {
     type Handle<'a> = AnyHandle<'a>;
 
-    fn handle(&self) -> AnyHandle<'_> {
+    fn ops_handle(&self) -> AnyHandle<'_> {
         match self {
-            AnyStack::TwoD(s) => AnyHandle::TwoD(s.handle()),
-            AnyStack::KRobin(s) => AnyHandle::KRobin(s.handle()),
-            AnyStack::KSegment(s) => AnyHandle::KSegment(s.handle()),
-            AnyStack::Random(s) => AnyHandle::Random(s.handle()),
-            AnyStack::RandomC2(s) => AnyHandle::RandomC2(s.handle()),
-            AnyStack::Elimination(s) => AnyHandle::Elimination(s.handle()),
-            AnyStack::Treiber(s) => AnyHandle::Treiber(s.handle()),
+            AnyStack::TwoD(s) => AnyHandle::TwoD(s.ops_handle()),
+            AnyStack::KRobin(s) => AnyHandle::KRobin(s.ops_handle()),
+            AnyStack::KSegment(s) => AnyHandle::KSegment(s.ops_handle()),
+            AnyStack::Random(s) => AnyHandle::Random(s.ops_handle()),
+            AnyStack::RandomC2(s) => AnyHandle::RandomC2(s.ops_handle()),
+            AnyStack::Elimination(s) => AnyHandle::Elimination(s.ops_handle()),
+            AnyStack::Treiber(s) => AnyHandle::Treiber(s.ops_handle()),
         }
     }
 
-    fn handle_seeded(&self, seed: u64) -> AnyHandle<'_> {
+    fn ops_handle_seeded(&self, seed: u64) -> AnyHandle<'_> {
         match self {
-            AnyStack::TwoD(s) => AnyHandle::TwoD(s.handle_seeded(seed)),
-            AnyStack::KRobin(s) => AnyHandle::KRobin(ConcurrentStack::handle_seeded(s, seed)),
-            AnyStack::KSegment(s) => AnyHandle::KSegment(ConcurrentStack::handle_seeded(s, seed)),
-            AnyStack::Random(s) => AnyHandle::Random(ConcurrentStack::handle_seeded(s, seed)),
-            AnyStack::RandomC2(s) => AnyHandle::RandomC2(ConcurrentStack::handle_seeded(s, seed)),
-            AnyStack::Elimination(s) => {
-                AnyHandle::Elimination(ConcurrentStack::handle_seeded(s, seed))
-            }
-            AnyStack::Treiber(s) => AnyHandle::Treiber(ConcurrentStack::handle_seeded(s, seed)),
+            AnyStack::TwoD(s) => AnyHandle::TwoD(s.ops_handle_seeded(seed)),
+            AnyStack::KRobin(s) => AnyHandle::KRobin(s.ops_handle_seeded(seed)),
+            AnyStack::KSegment(s) => AnyHandle::KSegment(s.ops_handle_seeded(seed)),
+            AnyStack::Random(s) => AnyHandle::Random(s.ops_handle_seeded(seed)),
+            AnyStack::RandomC2(s) => AnyHandle::RandomC2(s.ops_handle_seeded(seed)),
+            AnyStack::Elimination(s) => AnyHandle::Elimination(s.ops_handle_seeded(seed)),
+            AnyStack::Treiber(s) => AnyHandle::Treiber(s.ops_handle_seeded(seed)),
         }
     }
 
@@ -287,18 +286,16 @@ impl ConcurrentStack<u64> for AnyStack {
 
     fn relaxation_bound(&self) -> Option<usize> {
         match self {
-            AnyStack::TwoD(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::KRobin(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::KSegment(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::Random(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::RandomC2(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::Elimination(s) => ConcurrentStack::<u64>::relaxation_bound(s),
-            AnyStack::Treiber(s) => ConcurrentStack::<u64>::relaxation_bound(s),
+            AnyStack::TwoD(s) => s.relaxation_bound(),
+            AnyStack::KRobin(s) => s.relaxation_bound(),
+            AnyStack::KSegment(s) => s.relaxation_bound(),
+            AnyStack::Random(s) => s.relaxation_bound(),
+            AnyStack::RandomC2(s) => s.relaxation_bound(),
+            AnyStack::Elimination(s) => s.relaxation_bound(),
+            AnyStack::Treiber(s) => s.relaxation_bound(),
         }
     }
 }
-
-stack2d::impl_relaxed_ops_for_stack!(AnyStack => u64);
 
 /// Every structure the harness can drive through the structure-generic
 /// [`RelaxedOps`] contract: the seven stacks of the paper's evaluation
@@ -406,7 +403,7 @@ impl fmt::Debug for AnyRelaxed {
 /// Handle to an [`AnyRelaxed`]; dispatches per operation.
 pub enum AnyRelaxedHandle<'a> {
     /// Handle to one of the seven stacks.
-    Stack(StackOps<AnyHandle<'a>>),
+    Stack(AnyHandle<'a>),
     /// Handle to the windowed queue.
     Queue2D(QueueHandle<'a, u64>),
     /// Handle to the locked queue.
@@ -537,12 +534,12 @@ mod tests {
         for algo in Algorithm::ALL {
             let stack = AnyStack::build(algo, BuildSpec::high_throughput(2));
             assert_eq!(stack.algorithm(), algo);
-            let mut h = stack.handle();
+            let mut h = stack.ops_handle();
             for i in 0..100 {
-                h.push(i);
+                h.produce(i);
             }
             let mut n = 0;
-            while h.pop().is_some() {
+            while h.consume().is_some() {
                 n += 1;
             }
             assert_eq!(n, 100, "{algo} lost items");
@@ -554,7 +551,7 @@ mod tests {
         for algo in Algorithm::K_BOUNDED {
             for k in [0, 3, 30, 300, 3_000] {
                 let stack = AnyStack::build(algo, BuildSpec::with_k(4, k));
-                if let Some(bound) = ConcurrentStack::relaxation_bound(&stack) {
+                if let Some(bound) = RelaxedOps::relaxation_bound(&stack) {
                     // k-robin's bound is an estimate; allow its documented
                     // slack of one round per thread.
                     let slack = if algo == Algorithm::KRobin { 8 } else { 0 };
@@ -576,7 +573,7 @@ mod tests {
     fn strict_algos_report_zero_bound() {
         for algo in [Algorithm::Treiber, Algorithm::Elimination] {
             let stack = AnyStack::build(algo, BuildSpec::high_throughput(2));
-            assert_eq!(ConcurrentStack::relaxation_bound(&stack), Some(0), "{algo}");
+            assert_eq!(RelaxedOps::relaxation_bound(&stack), Some(0), "{algo}");
         }
     }
 
@@ -584,7 +581,7 @@ mod tests {
     fn unbounded_algos_report_none() {
         for algo in [Algorithm::Random, Algorithm::RandomC2] {
             let stack = AnyStack::build(algo, BuildSpec::high_throughput(2));
-            assert_eq!(ConcurrentStack::relaxation_bound(&stack), None, "{algo}");
+            assert_eq!(RelaxedOps::relaxation_bound(&stack), None, "{algo}");
         }
     }
 
@@ -600,9 +597,9 @@ mod tests {
         let params = Params::new(8, 2, 1).unwrap();
         for v in AblationVariant::ALL {
             let stack = AnyStack::two_d_with_config(v.config(params));
-            let mut h = stack.handle();
-            h.push(1);
-            assert_eq!(h.pop(), Some(1), "{v}");
+            let mut h = stack.ops_handle();
+            h.produce(1);
+            assert_eq!(h.consume(), Some(1), "{v}");
         }
     }
 

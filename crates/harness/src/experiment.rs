@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use stack2d::{ConcurrentStack, RelaxedOps};
+use stack2d::RelaxedOps;
 use stack2d_quality::ErrorSummary;
 use stack2d_workload::{run_throughput, OpMix, RunConfig};
 
@@ -137,7 +137,7 @@ pub fn measure(algo: Algorithm, spec: BuildSpec, settings: &Settings, mix: OpMix
 /// Measures a 2D-Stack built from an explicit config (ablations), same
 /// protocol as [`measure`]: the generic throughput pass of
 /// [`measure_relaxed`] plus the stack quality oracle.
-pub fn measure_stack<S: ConcurrentStack<u64> + RelaxedOps<u64>>(
+pub fn measure_stack<S: RelaxedOps<u64>>(
     label: &str,
     build: impl Fn() -> S,
     threads: usize,

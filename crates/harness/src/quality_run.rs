@@ -7,7 +7,7 @@
 //! throughput runs (the oracle's serialization would distort timing).
 
 use stack2d::rng::HopRng;
-use stack2d::{ConcurrentStack, Queue2D};
+use stack2d::{Queue2D, RelaxedOps};
 use stack2d_quality::segmented_queue::MeasuredElasticQueue;
 use stack2d_quality::{ErrorStats, Label, MeasuredStack};
 use stack2d_workload::OpMix;
@@ -41,7 +41,7 @@ impl Default for QualityConfig {
 
 /// Runs the measured workload against `stack`, returning the per-pop error
 /// distances.
-pub fn run_quality<S: ConcurrentStack<Label>>(stack: &S, cfg: &QualityConfig) -> ErrorStats {
+pub fn run_quality<S: RelaxedOps<Label>>(stack: &S, cfg: &QualityConfig) -> ErrorStats {
     assert!(cfg.threads > 0, "at least one thread required");
     let measured = MeasuredStack::new(stack);
     measured.prefill(cfg.prefill);

@@ -9,7 +9,7 @@
 //! * [`oracle`] — the side list: [`oracle::Oracle`] (Fenwick-backed order
 //!   statistics, O(log n) per delete), [`oracle::NaiveOracle`] (literal list
 //!   cross-check) and [`oracle::MeasuredStack`] (couples any
-//!   [`ConcurrentStack`](stack2d::ConcurrentStack) with the oracle under one
+//!   [`RelaxedOps`](stack2d::RelaxedOps) stack with the oracle under one
 //!   mutex, the paper's "simultaneous insert/delete");
 //! * [`stats`] — error-distance aggregation (mean = the paper's expected
 //!   error distance, plus percentiles/max);

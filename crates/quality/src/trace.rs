@@ -11,14 +11,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::checker::{check_k_out_of_order, TraceOp, TraceReport, Violation};
 use crate::oracle::Label;
-use stack2d::StackHandle;
+use stack2d::OpsHandle;
 
 /// A recorded single-threaded operation trace.
 ///
 /// # Examples
 ///
 /// ```
-/// use stack2d::{Params, Stack2D, ConcurrentStack};
+/// use stack2d::{Params, Stack2D};
 /// use stack2d_quality::trace::TraceRecorder;
 ///
 /// let stack = Stack2D::new(Params::new(2, 1, 1).unwrap());
@@ -111,7 +111,7 @@ pub struct TraceRecorder<H> {
     next_label: Label,
 }
 
-impl<H: StackHandle<Label>> TraceRecorder<H> {
+impl<H: OpsHandle<Label>> TraceRecorder<H> {
     /// Wraps `handle` with an empty trace.
     pub fn new(handle: H) -> Self {
         TraceRecorder { handle, trace: Trace::default(), next_label: 0 }
@@ -121,13 +121,13 @@ impl<H: StackHandle<Label>> TraceRecorder<H> {
     pub fn push(&mut self) {
         let label = self.next_label;
         self.next_label += 1;
-        self.handle.push(label);
+        self.handle.produce(label);
         self.trace.ops.push(SerOp::Push(label));
     }
 
     /// Pops and records the outcome; returns the label if one was popped.
     pub fn pop(&mut self) -> Option<Label> {
-        match self.handle.pop() {
+        match self.handle.consume() {
             Some(l) => {
                 self.trace.ops.push(SerOp::Pop(l));
                 Some(l)
@@ -160,19 +160,19 @@ pub struct ReplayOutcome {
 /// Replays the push/pop *schedule* of `trace` against `handle`, comparing
 /// outcomes op by op. Relaxed stacks legitimately diverge in labels; strict
 /// stacks replaying a strict trace must not.
-pub fn replay<H: StackHandle<Label>>(trace: &Trace, handle: &mut H) -> ReplayOutcome {
+pub fn replay<H: OpsHandle<Label>>(trace: &Trace, handle: &mut H) -> ReplayOutcome {
     let mut out = ReplayOutcome::default();
     for op in &trace.ops {
         out.ops += 1;
         match *op {
-            SerOp::Push(label) => handle.push(label),
-            SerOp::Pop(expected) => match handle.pop() {
+            SerOp::Push(label) => handle.produce(label),
+            SerOp::Pop(expected) => match handle.consume() {
                 Some(got) if got == expected => {}
                 Some(_) => out.divergences += 1,
                 None => out.empty_mismatches += 1,
             },
             SerOp::PopEmpty => {
-                if handle.pop().is_some() {
+                if handle.consume().is_some() {
                     out.empty_mismatches += 1;
                 }
             }
@@ -184,12 +184,12 @@ pub fn replay<H: StackHandle<Label>>(trace: &Trace, handle: &mut H) -> ReplayOut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stack2d::{ConcurrentStack, Params, Stack2D};
+    use stack2d::{Params, RelaxedOps, Stack2D};
     use stack2d_baselines::TreiberStack;
 
     fn record_on_treiber(plan: &[bool]) -> Trace {
         let stack: TreiberStack<Label> = TreiberStack::new();
-        let mut rec = TraceRecorder::new(stack.handle());
+        let mut rec = TraceRecorder::new(stack.ops_handle());
         for &p in plan {
             if p {
                 rec.push();
@@ -231,7 +231,7 @@ mod tests {
         let plan: Vec<bool> = (0..200).map(|i| i % 3 != 2).collect();
         let trace = record_on_treiber(&plan);
         let stack: TreiberStack<Label> = TreiberStack::new();
-        let mut h = stack.handle();
+        let mut h = stack.ops_handle();
         let out = replay(&trace, &mut h);
         assert_eq!(out.ops, trace.len());
         assert_eq!(out.divergences, 0);

@@ -7,7 +7,8 @@
 //! * [`runner`] — the timed multi-thread measurement loop
 //!   ([`run_throughput`]) and a deterministic fixed-op variant for tests
 //!   ([`run_fixed_ops`]), both generic over
-//!   [`ConcurrentStack`](stack2d::ConcurrentStack);
+//!   [`RelaxedOps`](stack2d::RelaxedOps), so the 2D structures and every
+//!   baseline run through the same loop;
 //! * [`LatencyHistogram`] — the log-linear latency histogram, re-exported
 //!   from `stack2d-telemetry` (its home since the observability layer
 //!   landed) so existing `stack2d_workload::LatencyHistogram` users keep

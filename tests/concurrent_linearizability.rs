@@ -10,14 +10,14 @@
 
 use std::sync::Barrier;
 
-use stack2d::{ConcurrentStack, Params, Stack2D};
+use stack2d::{Params, RelaxedOps, Stack2D};
 use stack2d_harness::{Algorithm, AnyStack, BuildSpec};
 use stack2d_quality::linearize::{merge_histories, SharedClock};
 use stack2d_quality::HistoryRecorder;
 
 /// Runs `threads` workers, each performing the given op plan (true = push)
 /// with distinct labels, and returns the merged history.
-fn record_concurrent<S: ConcurrentStack<u64>>(
+fn record_concurrent<S: RelaxedOps<u64>>(
     stack: &S,
     threads: usize,
     plan: &[bool],
@@ -31,7 +31,7 @@ fn record_concurrent<S: ConcurrentStack<u64>>(
             let clock = &clock;
             let barrier = &barrier;
             joins.push(scope.spawn(move || {
-                let mut rec = HistoryRecorder::new(stack.handle(), clock);
+                let mut rec = HistoryRecorder::new(stack.ops_handle(), clock);
                 barrier.wait();
                 let mut next = (round << 32) | ((t as u64) << 16);
                 for &is_push in plan {

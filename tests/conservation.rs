@@ -7,7 +7,7 @@
 //! safety property all seven stacks share regardless of how relaxed their
 //! ordering is.
 
-use stack2d::{ConcurrentStack, StackHandle};
+use stack2d::{OpsHandle, RelaxedOps};
 use stack2d_harness::{Algorithm, AnyStack, BuildSpec};
 use stack2d_quality::Conservation;
 
@@ -21,17 +21,17 @@ fn storm(algo: Algorithm) {
         for t in 0..THREADS {
             let stack = &stack;
             joins.push(s.spawn(move || {
-                let mut h = stack.handle();
+                let mut h = stack.ops_handle();
                 let mut pushed = Vec::new();
                 let mut popped = Vec::new();
                 for i in 0..PER_THREAD {
                     let label = (t * PER_THREAD + i) as u64;
-                    h.push(label);
+                    h.produce(label);
                     pushed.push(label);
                     // Pop two thirds of the time so the stack both grows and
                     // hits near-empty phases.
                     if i % 3 != 0 {
-                        if let Some(v) = h.pop() {
+                        if let Some(v) = h.consume() {
                             popped.push(v);
                         }
                     }
@@ -52,8 +52,8 @@ fn storm(algo: Algorithm) {
         }
     }
     let mut remaining = Vec::new();
-    let mut h = stack.handle();
-    while let Some(v) = h.pop() {
+    let mut h = stack.ops_handle();
+    while let Some(v) = h.consume() {
         remaining.push(v);
     }
     if let Err(errors) = accounting.verify(&remaining) {
@@ -106,14 +106,14 @@ fn two_d_conserves_under_tiny_windows() {
         for t in 0..THREADS {
             let stack = &stack;
             joins.push(s.spawn(move || {
-                let mut h = stack.handle();
+                let mut h = stack.ops_handle();
                 let mut pushed = Vec::new();
                 let mut popped = Vec::new();
                 for i in 0..PER_THREAD {
                     let label = (t * PER_THREAD + i) as u64;
-                    h.push(label);
+                    h.produce(label);
                     pushed.push(label);
-                    if let Some(v) = h.pop() {
+                    if let Some(v) = h.consume() {
                         popped.push(v);
                     }
                 }
@@ -131,8 +131,8 @@ fn two_d_conserves_under_tiny_windows() {
         }
     }
     let mut remaining = Vec::new();
-    let mut h = stack.handle();
-    while let Some(v) = h.pop() {
+    let mut h = stack.ops_handle();
+    while let Some(v) = h.consume() {
         remaining.push(v);
     }
     accounting.verify(&remaining).expect("tiny-window 2D-stack lost items");

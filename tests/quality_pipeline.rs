@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use stack2d::ConcurrentStack as _;
+use stack2d::RelaxedOps as _;
 use stack2d_harness::{run_quality, Algorithm, AnyStack, BuildSpec, QualityConfig};
 use stack2d_quality::{MeasuredStack, NaiveOracle, Oracle};
 use stack2d_workload::OpMix;
@@ -139,11 +139,10 @@ fn measured_stack_oracle_and_stack_stay_in_sync_concurrently() {
         }
     });
     // Whatever remains in the stack must exactly match the oracle's view.
-    use stack2d::ConcurrentStack;
-    use stack2d::StackHandle;
-    let mut h = stack.handle();
+    use stack2d::OpsHandle;
+    let mut h = stack.ops_handle();
     let mut resident = 0usize;
-    while h.pop().is_some() {
+    while h.consume().is_some() {
         resident += 1;
     }
     assert_eq!(resident, measured.oracle_len(), "oracle diverged from stack");

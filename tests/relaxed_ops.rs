@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use stack2d_repro::stack2d::{
-    ConcurrentStack, Counter2D, ElasticTarget, OpsHandle, Params, Queue2D, RelaxedOps, Stack2D,
+    Counter2D, ElasticTarget, OpsHandle, Params, Queue2D, RelaxedOps, Stack2D,
 };
 use stack2d_repro::stack2d_adaptive::{AdaptiveBuilder, AimdController, ScriptedController};
 use stack2d_repro::stack2d_baselines::{LockedQueue, TreiberStack};
@@ -71,7 +71,6 @@ fn trait_bounds_match_inherent_methods() {
     // Fixed-width: the configured bound, exactly.
     let p = Params::new(6, 3, 2).unwrap();
     let stack = Stack2D::<u64>::builder().params(p).build().unwrap();
-    assert_eq!(ConcurrentStack::relaxation_bound(&stack), Some(stack.k_bound()));
     assert_eq!(RelaxedOps::<u64>::relaxation_bound(&stack), Some(stack.k_bound()));
     let queue = Queue2D::<u64>::builder().params(p).build().unwrap();
     assert_eq!(RelaxedOps::<u64>::relaxation_bound(&queue), Some(queue.k_bound()));
@@ -89,7 +88,6 @@ fn trait_bounds_match_inherent_methods() {
     stack.retune(Params::new(8, 1, 1).unwrap()).unwrap();
     let expect = stack.k_bound().max(stack.k_bound_instantaneous());
     assert!(stack.k_bound_instantaneous() > stack.k_bound(), "transient must dominate");
-    assert_eq!(ConcurrentStack::relaxation_bound(&stack), Some(expect));
     assert_eq!(RelaxedOps::<u64>::relaxation_bound(&stack), Some(expect));
 
     let queue = Queue2D::<u64>::builder().width(1).elastic_capacity(8).build().unwrap();
@@ -129,13 +127,13 @@ fn elastic_target_exposes_the_live_bound() {
 /// Seeded handles through the trait: identical seeds, identical behaviour.
 #[test]
 fn trait_seeded_handles_are_deterministic() {
-    fn drain_order<S: ConcurrentStack<u64>>(s: &S) -> Vec<u64> {
-        let mut h = s.handle_seeded(77);
+    fn drain_order<S: RelaxedOps<u64>>(s: &S) -> Vec<u64> {
+        let mut h = s.ops_handle_seeded(77);
         for i in 0..500 {
-            stack2d_repro::stack2d::StackHandle::push(&mut h, i);
+            h.produce(i);
         }
         let mut out = Vec::new();
-        while let Some(v) = stack2d_repro::stack2d::StackHandle::pop(&mut h) {
+        while let Some(v) = h.consume() {
             out.push(v);
         }
         out

@@ -101,19 +101,19 @@ proptest! {
         k_slots in 1usize..16,
         plan in proptest::collection::vec(any::<bool>(), 1..400),
     ) {
-        use stack2d::{ConcurrentStack, StackHandle};
+        use stack2d::{OpsHandle, RelaxedOps};
         let stack: stack2d_baselines::KSegmentStack<u64> =
             stack2d_baselines::KSegmentStack::new(k_slots);
-        let mut h = stack.handle();
+        let mut h = stack.ops_handle();
         let mut next_label = 0u64;
         let mut trace = Vec::new();
         for &is_push in &plan {
             if is_push {
-                h.push(next_label);
+                h.produce(next_label);
                 trace.push(TraceOp::Push(next_label));
                 next_label += 1;
             } else {
-                match h.pop() {
+                match h.consume() {
                     Some(l) => trace.push(TraceOp::Pop(l)),
                     None => trace.push(TraceOp::PopEmpty),
                 }
