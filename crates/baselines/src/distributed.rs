@@ -663,4 +663,65 @@ mod tests {
         storm(Arc::new(RandomC2Stack::new(4)));
         storm(Arc::new(KRobinStack::new(4, 4)));
     }
+
+    #[test]
+    fn distributed_baselines_conserve_through_the_pool() {
+        use stack2d::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Counts its own drops in a per-id slot: a double free or a
+        /// recycled-while-reachable node shows up as a count other than 1.
+        struct Canary {
+            id: usize,
+            drops: Arc<Vec<AtomicUsize>>,
+        }
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                self.drops[self.id].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        fn churn<S: RelaxedOps<Canary> + 'static>(stack: S, threads: usize) {
+            const PER: usize = 2_000;
+            let drops: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..threads * PER).map(|_| AtomicUsize::new(0)).collect());
+            let stack = Arc::new(stack);
+            let name = stack.name();
+            let joins: Vec<_> = (0..threads)
+                .map(|t| {
+                    let stack = Arc::clone(&stack);
+                    let drops = Arc::clone(&drops);
+                    stack2d::sync::thread::spawn(move || {
+                        let mut h = stack.ops_handle();
+                        for i in 0..PER {
+                            h.produce(Canary { id: t * PER + i, drops: Arc::clone(&drops) });
+                            if i % 3 != 0 {
+                                drop(h.consume());
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for j in joins {
+                j.join().unwrap();
+            }
+            // The residents drop with the last reference to the stack.
+            drop(stack);
+            for (id, d) in drops.iter().enumerate() {
+                assert_eq!(d.load(Ordering::SeqCst), 1, "{name}: canary {id} drop count");
+            }
+        }
+
+        let before = stack2d::pool_stats();
+        for threads in 2..=4 {
+            churn(RandomStack::new(4), threads);
+            churn(RandomC2Stack::new(4), threads);
+            churn(KRobinStack::new(4, threads), threads);
+        }
+        // Debug builds meter the pool: the baselines' sub-stacks must draw
+        // their nodes and descriptors from it, as the 2D-Stack's do.
+        if cfg!(debug_assertions) {
+            let after = stack2d::pool_stats();
+            assert!(after.reused > before.reused, "no pool reuse: {before:?} -> {after:?}");
+        }
+    }
 }

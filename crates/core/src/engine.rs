@@ -178,14 +178,14 @@ impl<'a> Search<'a> {
     /// budget, which is what keeps a batch inside Theorem 1's `k`: a batch
     /// never takes more from one cell than the window already permits).
     /// With `max == 1` the run returns at the first success, so a singular
-    /// op allocates nothing and opens no retirement scope.
+    /// op allocates nothing.
     ///
     /// `last` is the handle's locality cursor (updated on success), `rng`
     /// its hop RNG. Lock-free: a thread only retries when another thread
     /// made progress (won a CAS, shifted the window, or retuned it).
     // Inlined into every op so a singular op's constant `max == 1` folds
-    // the batch drain and the retirement scope away: the singular path
-    // compiles to the drain-free loop. (Out of line, a counter increment
+    // the batch drain away: the singular path compiles to the drain-free
+    // loop. (Out of line, a counter increment
     // measured ~10% slower on a 2-vCPU x86-64 VM.)
     #[inline(always)]
     pub(crate) fn run<P: ProbeTarget>(
@@ -202,12 +202,6 @@ impl<'a> Search<'a> {
             return stats;
         }
         let max = max as u64;
-        // One retirement fence for a whole batch: every node/descriptor
-        // the drain unlinks buffers inside this scope and is epoch-tagged
-        // when it drops (a later tag than per-op retirement would give —
-        // conservative, so reclamation is only ever delayed). A 1-op run
-        // has nothing to amortize, so it skips the scope bookkeeping.
-        let _retire_scope = (max > 1).then(|| guard.retire_batch());
         let mut resume: Option<usize> = None;
         loop {
             // Re-read the window descriptor every round: retunes take

@@ -2,7 +2,7 @@
 //!
 //! Every op on a descriptor-swinging structure allocates (a fresh
 //! `Descriptor`, and on push a node) and retires the displaced blocks
-//! through epoch reclamation. With the default `Box` path that is one
+//! through epoch reclamation. With a plain `Box` path that would be one
 //! `malloc` + one `free` per block per op — measurably the dominant cost of
 //! an uncontended push/pop pair (see EXPERIMENTS.md, BENCH_9→10). This
 //! module replaces the allocator round-trip with a **layout-keyed
@@ -16,10 +16,10 @@
 //!
 //! Invariants that make this sound:
 //!
-//! * **Every block originates from `Box::into_raw`** (the fallback path),
-//!   so a pooled block and a boxed block are interchangeable: either may be
-//!   freed with `Box::from_raw`/`dealloc` or cached, in any order, on any
-//!   thread. Structure `Drop` impls keep their plain `Box::from_raw` walks.
+//! * **Every block originates from `Box::into_raw`** (the miss path), so
+//!   any block may be freed with `Box::from_raw`/`dealloc` or cached, in
+//!   any order, on any thread. Structure `Drop` impls keep their plain
+//!   `Box::from_raw` walks.
 //! * **Retired blocks are storage-only.** The structures consume the value
 //!   (`ptr::read` / `ManuallyDrop::take`) *before* retiring, so `recycle`
 //!   never runs drop glue — it only reclaims bytes.
@@ -30,10 +30,9 @@
 //!   [`recycle`] degrades to a plain `dealloc` during thread teardown when
 //!   the thread-local is already gone.
 //!
-//! The pool is enabled per structure with
-//! [`Builder::node_pool`](crate::Builder::node_pool) (default on); a
-//! disabled structure routes the same call sites through the plain boxed
-//! path, which is how the parity tests compare the two.
+//! The pool is unconditional: every `SubStack` (the 2D-Stack's and the
+//! distribution baselines' alike) and every `Queue2D` sub-queue allocates
+//! and retires through it.
 
 use core::alloc::Layout;
 use core::cell::Cell;
@@ -177,9 +176,10 @@ impl Drop for FreeList {
 
 /// Allocates storage for `value`, preferring the calling thread's pool.
 ///
-/// The returned pointer is always interchangeable with
-/// `Box::into_raw(Box::new(value))`: it may later be freed with
-/// `Box::from_raw`, retired through plain `defer_destroy`, or recycled.
+/// Every pool block is born on the miss path below, so the returned pointer
+/// is always interchangeable with `Box::into_raw(Box::new(value))`: it may
+/// later be freed with `Box::from_raw`, retired through plain
+/// `defer_destroy`, or recycled.
 #[inline]
 pub(crate) fn alloc<T>(value: T) -> *mut T {
     let layout = Layout::new::<T>();
@@ -195,15 +195,6 @@ pub(crate) fn alloc<T>(value: T) -> *mut T {
         }
     }
     stats::hit(&stats::FRESH);
-    boxed(value)
-}
-
-/// The plain allocator path (also the pool-miss fallback): every pool
-/// block is born here, which is what keeps boxed and pooled blocks
-/// interchangeable. Structures built with `.node_pool(false)` route all
-/// their allocations through this.
-#[inline]
-pub(crate) fn boxed<T>(value: T) -> *mut T {
     Box::into_raw(Box::new(value))
 }
 
@@ -217,7 +208,7 @@ pub(crate) fn boxed<T>(value: T) -> *mut T {
 /// # Safety
 ///
 /// `p` must be a block of layout `Layout::new::<T>()` obtained from
-/// [`alloc`]/[`boxed`], retired exactly once, with its `T` value already
+/// [`alloc`], retired exactly once, with its `T` value already
 /// consumed (no drop glue runs here — this reclaims storage only).
 #[inline]
 pub(crate) unsafe fn recycle<T>(p: *mut ()) {
@@ -237,23 +228,6 @@ pub(crate) unsafe fn recycle<T>(p: *mut ()) {
     // originates from `Box::into_raw`) with exactly this layout, and the
     // caller's contract gives us exclusive ownership of it.
     unsafe { std::alloc::dealloc(block, layout) };
-}
-
-/// Frees a retired block of type `T` without running drop glue — the
-/// unpooled counterpart of [`recycle`], usable as the same epoch destroy
-/// hook. For blocks whose pointee drop is storage-only (descriptors, nodes
-/// with already-consumed `ManuallyDrop` values) this is exactly what
-/// `drop(Box::from_raw(p))` would do.
-///
-/// # Safety
-///
-/// Same contract as [`recycle`]: `p` must be a block of layout
-/// `Layout::new::<T>()` from [`alloc`]/[`boxed`], retired exactly once,
-/// with its `T` value already consumed.
-pub(crate) unsafe fn free_block<T>(p: *mut ()) {
-    // SAFETY: forwarded caller contract — exclusive allocator-owned block
-    // of exactly this layout.
-    unsafe { std::alloc::dealloc(p.cast::<u8>(), Layout::new::<T>()) };
 }
 
 /// Process-wide pool traffic counters (see [`pool_stats`]).

@@ -93,8 +93,6 @@ struct PutLane<T> {
 struct SubQueue<T> {
     get: CachePadded<GetLane<T>>,
     put: CachePadded<PutLane<T>>,
-    /// Whether nodes are drawn from (and retired to) the node pool.
-    pooled: bool,
 }
 
 // SAFETY: the queue owns its nodes and transfers values across threads only
@@ -105,17 +103,10 @@ unsafe impl<T: Send> Send for SubQueue<T> {}
 unsafe impl<T: Send> Sync for SubQueue<T> {}
 
 impl<T> SubQueue<T> {
+    /// An empty sub-queue; its nodes cycle through the node pool (see
+    /// `pool.rs`).
     fn new() -> Self {
-        Self::with_pool(false)
-    }
-
-    /// A sub-queue whose nodes cycle through the node pool (see `pool.rs`).
-    fn new_pooled() -> Self {
-        Self::with_pool(true)
-    }
-
-    fn with_pool(pooled: bool) -> Self {
-        let dummy = alloc_qnode(MaybeUninit::uninit(), pooled);
+        let dummy = alloc_qnode(MaybeUninit::uninit());
         // SAFETY: construction is single-threaded — nothing else can touch
         // the queue yet, satisfying the unprotected guard's exclusivity.
         let guard = unsafe { epoch::unprotected() };
@@ -123,7 +114,6 @@ impl<T> SubQueue<T> {
         SubQueue {
             get: CachePadded::new(GetLane { head: Atomic::from(dummy), deq: AtomicUsize::new(0) }),
             put: CachePadded::new(PutLane { tail: Atomic::from(dummy), enq: AtomicUsize::new(0) }),
-            pooled,
         }
     }
 
@@ -193,18 +183,13 @@ impl<T> SubQueue<T> {
                 // deallocation cannot double-drop it. `next` stays alive
                 // under the guard.
                 let value = unsafe { ptr::read(next.deref().value.as_ptr()) };
-                if self.pooled {
-                    // SAFETY: the old dummy was unlinked by our CAS; only
-                    // the winner retires it, exactly once. Its value slot is
-                    // uninitialized (moved out or never set), so recycling
-                    // the storage without running drop glue is complete
-                    // reclamation, and every node originates from
-                    // `Box::into_raw` as `pool::recycle` requires.
-                    unsafe { guard.defer_destroy_with(head, pool::recycle::<QNode<T>>) };
-                } else {
-                    // SAFETY: as above; only the winner retires it.
-                    unsafe { guard.defer_destroy(head) };
-                }
+                // SAFETY: the old dummy was unlinked by our CAS; only the
+                // winner retires it, exactly once. Its value slot is
+                // uninitialized (moved out or never set), so recycling the
+                // storage without running drop glue is complete
+                // reclamation, and every node originates from
+                // `Box::into_raw` as `pool::recycle` requires.
+                unsafe { guard.defer_destroy_with(head, pool::recycle::<QNode<T>>) };
                 self.get.deq.fetch_add(1, Ordering::AcqRel);
                 Ok(Some(value))
             }
@@ -225,12 +210,11 @@ impl<T> SubQueue<T> {
     }
 }
 
-/// Stages a value into an MS-queue node on the configured allocation path.
+/// Stages a value into an MS-queue node drawn from the node pool.
 #[inline]
-fn alloc_qnode<T>(value: MaybeUninit<T>, pooled: bool) -> Owned<QNode<T>> {
-    let node = QNode { value, next: Atomic::null() };
-    let raw = if pooled { pool::alloc(node) } else { pool::boxed(node) };
-    // SAFETY: both paths hand back a unique, properly initialized block that
+fn alloc_qnode<T>(value: MaybeUninit<T>) -> Owned<QNode<T>> {
+    let raw = pool::alloc(QNode { value, next: Atomic::null() });
+    // SAFETY: the pool hands back a unique, properly initialized block that
     // originated from `Box::into_raw`, which is exactly `Owned`'s contract.
     unsafe { Owned::from_raw_ptr(raw) }
 }
@@ -310,8 +294,6 @@ pub struct QueueCells<T> {
     /// outside the dequeue span once a shrink commits. Cold path only;
     /// enqueues/dequeues never take it.
     retune_lock: crate::sync::Mutex<()>,
-    /// Whether nodes draw from the node pool.
-    pooled: bool,
 }
 
 impl<T> Sealed for QueueCells<T> {}
@@ -328,14 +310,11 @@ impl<T> Cells for QueueCells<T> {
     }
 
     fn new(config: &SearchConfig) -> Self {
-        let pooled = config.uses_node_pool();
-        let make_sub = if pooled { SubQueue::new_pooled } else { SubQueue::new as fn() -> _ };
         QueueCells {
-            subs: (0..config.capacity()).map(|_| CachePadded::new(make_sub())).collect(),
+            subs: (0..config.capacity()).map(|_| CachePadded::new(SubQueue::new())).collect(),
             put: Lane::new(config.params()),
             get: Lane::new(config.params()),
             retune_lock: crate::sync::Mutex::new(()),
-            pooled,
         }
     }
 
@@ -400,8 +379,7 @@ impl<T> QueueCells<T> {
     /// The put end, staged with `first` and the (reversed) rest of a
     /// batch.
     fn put_end(&self, first: T, pending: Vec<T>) -> PutEnd<'_, T> {
-        let node = Some(alloc_qnode(MaybeUninit::new(first), self.pooled));
-        PutEnd { subs: &self.subs, node, pending, pooled: self.pooled }
+        PutEnd { subs: &self.subs, node: Some(alloc_qnode(MaybeUninit::new(first))), pending }
     }
 
     fn len(&self) -> usize {
@@ -472,8 +450,6 @@ struct PutEnd<'q, T> {
     /// from the back as [`ProbeTarget::reload`] stages them). Empty for a
     /// singular enqueue.
     pending: Vec<T>,
-    /// Whether staged nodes draw from the node pool.
-    pooled: bool,
 }
 
 impl<T> ProbeTarget for PutEnd<'_, T> {
@@ -512,7 +488,7 @@ impl<T> ProbeTarget for PutEnd<'_, T> {
         debug_assert!(self.node.is_none(), "reload with a node still staged");
         match self.pending.pop() {
             Some(v) => {
-                self.node = Some(alloc_qnode(MaybeUninit::new(v), self.pooled));
+                self.node = Some(alloc_qnode(MaybeUninit::new(v)));
                 true
             }
             None => false,

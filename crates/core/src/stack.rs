@@ -103,8 +103,6 @@ pub struct StackCells<T> {
     /// `push_width` (pushes) / `pop_width` (pops) are active.
     subs: Box<[CachePadded<SubStack<T>>]>,
     lane: Lane,
-    /// Whether staged nodes draw from the node pool.
-    pooled: bool,
 }
 
 /// The push side of the stack-array, as driven by the search engine: a
@@ -116,8 +114,6 @@ struct PushSide<'s, T> {
     /// the back as [`ProbeTarget::reload`] stages them). Empty for a
     /// singular push.
     pending: Vec<T>,
-    /// Whether staged nodes draw from the node pool.
-    pooled: bool,
 }
 
 impl<T> ProbeTarget for PushSide<'_, T> {
@@ -160,21 +156,11 @@ impl<T> ProbeTarget for PushSide<'_, T> {
         debug_assert!(self.node.is_none(), "reload with a node still staged");
         match self.pending.pop() {
             Some(v) => {
-                self.node = Some(prepare_node(v, self.pooled));
+                self.node = Some(PreparedNode::new(v));
                 true
             }
             None => false,
         }
-    }
-}
-
-/// Stages a value into a list node on the configured allocation path.
-#[inline]
-fn prepare_node<T>(value: T, pooled: bool) -> PreparedNode<T> {
-    if pooled {
-        PreparedNode::new_pooled(value)
-    } else {
-        PreparedNode::new(value)
     }
 }
 
@@ -225,8 +211,7 @@ impl<T> StackCells<T> {
     /// The push side, staged with `first` and the (reversed) rest of a
     /// batch.
     fn push_side(&self, first: T, pending: Vec<T>) -> PushSide<'_, T> {
-        let node = Some(prepare_node(first, self.pooled));
-        PushSide { subs: &self.subs, node, pending, pooled: self.pooled }
+        PushSide { subs: &self.subs, node: Some(PreparedNode::new(first)), pending }
     }
 
     fn len(&self) -> usize {
@@ -244,12 +229,9 @@ impl<T> Cells for StackCells<T> {
     const HANDLE_NAME: &'static str = "Handle2D";
 
     fn new(config: &SearchConfig) -> Self {
-        let pooled = config.uses_node_pool();
-        let make_sub = if pooled { SubStack::new_pooled } else { SubStack::new as fn() -> _ };
         StackCells {
-            subs: (0..config.capacity()).map(|_| CachePadded::new(make_sub())).collect(),
+            subs: (0..config.capacity()).map(|_| CachePadded::new(SubStack::new())).collect(),
             lane: Lane::new(config.params()),
-            pooled,
         }
     }
 

@@ -5,10 +5,10 @@
 //! thread-local freelists behind epoch reclamation. The failure modes
 //! worth money here are a block handed back to a freelist while another
 //! thread can still reach it (use-after-free — shows up as a lost or
-//! duplicated payload) and accounting drift between the pooled and
-//! unpooled paths. Both are exercised with drop-counting canaries; in
-//! debug builds [`pool_stats`] additionally proves recycling actually
-//! happened rather than silently degrading to malloc-per-op.
+//! duplicated payload) and accounting drift across recycling. Both are
+//! exercised with drop-counting canaries; in debug builds [`pool_stats`]
+//! additionally proves recycling actually happened rather than silently
+//! degrading to malloc-per-op.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -101,31 +101,6 @@ fn pool_churn_under_retune_stress() {
             "retired blocks must reach the freelists: {before:?} -> {after:?}"
         );
     }
-}
-
-#[test]
-fn unpooled_structures_see_identical_conservation() {
-    // `.node_pool(false)` must be drop-for-drop identical — it is the
-    // control arm for every pooled-path bug.
-    const PER: usize = 4_000;
-    let drops = Arc::new(AtomicUsize::new(0));
-    {
-        let stack = Stack2D::<Canary>::builder()
-            .params(Params::new(2, 2, 1).unwrap())
-            .node_pool(false)
-            .build()
-            .unwrap();
-        let mut h = stack.handle_seeded(3);
-        for i in 0..PER {
-            if i % 2 == 0 {
-                h.push(Canary::new(&drops));
-            } else {
-                drop(h.pop());
-            }
-        }
-        drop(h);
-    }
-    assert_eq!(drops.load(Ordering::SeqCst), PER / 2);
 }
 
 proptest! {
