@@ -5,7 +5,7 @@
 //! response frame. The convenience verbs are one-request batches. Used by
 //! the harness load generator, the integration tests, and the example.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -58,9 +58,14 @@ impl From<io::Error> for ClientError {
 }
 
 /// A blocking connection to a relaxed2d server.
+///
+/// Frames go out through the bare stream (one vectored write each) and
+/// come back through a buffered read half, so one `read` brings in a
+/// response's prefix and body together.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    reader: BufReader<TcpStream>,
     max_frame_len: u32,
 }
 
@@ -73,7 +78,8 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream, max_frame_len: DEFAULT_MAX_FRAME_LEN })
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(Client { stream, reader, max_frame_len: DEFAULT_MAX_FRAME_LEN })
     }
 
     /// Connects, retrying on refusal until `deadline` elapses — for racing
@@ -105,7 +111,7 @@ impl Client {
     pub fn call(&mut self, batch: &[Request]) -> Result<Vec<Response>, ClientError> {
         write_frame(&mut self.stream, &encode_request_batch(batch))?;
         let body = loop {
-            match read_frame(&mut self.stream, self.max_frame_len) {
+            match read_frame(&mut self.reader, self.max_frame_len) {
                 Ok(FrameEvent::Frame(body)) => break body,
                 Ok(FrameEvent::Idle) => continue,
                 Ok(FrameEvent::Closed) => return Err(ClientError::ServerClosed),

@@ -216,9 +216,10 @@ pub(crate) fn execute_batch(
                 continue;
             }
             Slot::Acquire(t, cost) => {
-                let h = handle_for(&mut handles, t, conn_seed);
-                for _ in 0..*cost {
-                    h.produce(1);
+                // One batched structure call counts all `cost` hits (the
+                // counter's `add_n` path); a zero-cost probe only decides.
+                if *cost > 0 {
+                    handle_for(&mut handles, t, conn_seed).produce_n(vec![1; *cost as usize]);
                 }
                 t.limiter_decision().unwrap_or(Response::Error {
                     code: ErrorCode::Unsupported,
@@ -330,6 +331,33 @@ mod tests {
         assert_eq!(resps[1], Response::Decision { allowed: false, observed: 6, limit: 4 });
         // cost 0 is a pure decision probe.
         assert_eq!(resps[2], Response::Decision { allowed: false, observed: 6, limit: 4 });
+    }
+
+    #[test]
+    fn acquire_costs_add_up_in_the_tenant_op_count() {
+        let map = map();
+        let resps = run(
+            &map,
+            &[
+                Request::Create {
+                    personality: Personality::RateLimiter,
+                    tenant: "api".into(),
+                    limit: 100,
+                },
+                Request::Acquire { tenant: "api".into(), cost: 3 },
+                Request::Acquire { tenant: "api".into(), cost: 0 },
+                Request::Acquire { tenant: "api".into(), cost: 5 },
+            ],
+        );
+        assert_eq!(resps[3], Response::Decision { allowed: true, observed: 8, limit: 100 });
+        let stats = run(
+            &map,
+            &[Request::Stats { personality: Personality::RateLimiter, tenant: "api".into() }],
+        );
+        match &stats[0] {
+            Response::Stats { ops, .. } => assert_eq!(*ops, 8, "one op per hit, none for cost 0"),
+            other => panic!("expected Stats, got {other:?}"),
+        }
     }
 
     #[test]

@@ -15,8 +15,14 @@
 //!
 //! The reader never allocates more than the declared ceiling, so a hostile
 //! 4 GiB length prefix costs one `u32` comparison, not an allocation.
+//!
+//! The writer hands the prefix and the body to one vectored write, so on
+//! a `TCP_NODELAY` socket a frame leaves as one segment: two writes would
+//! be two segments and a wake-up of the peer on the bare 4-byte prefix.
+//! Readers should sit behind a buffer (`BufReader`), so one `read` brings
+//! in the prefix and the body together.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Default ceiling on a frame body (1 MiB); servers and clients can pick
 /// their own.
@@ -144,13 +150,28 @@ fn read_body(
 
 /// Writes one frame (length prefix + body) and flushes.
 ///
+/// Prefix and body go out through one `write_vectored` call when the
+/// writer accepts them whole; a partial write continues from where it
+/// stopped, so the bytes on the wire are the prefix followed by the body
+/// whatever the writer's chunking.
+///
 /// # Errors
 ///
-/// Propagates the underlying write/flush error.
+/// Propagates the underlying write/flush error; [`io::ErrorKind::WriteZero`]
+/// when the writer accepts no bytes.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     let len = u32::try_from(body.len()).map_err(|_| io::Error::other("frame body over 4 GiB"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
+    let prefix = len.to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(body)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "frame write stalled")),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -231,5 +252,86 @@ mod tests {
 
         let mut torn = Stalling { script: vec![4, 0, 0, 0, 1], pos: 0 };
         assert!(matches!(read_frame(&mut torn, 16), Err(FrameError::Truncated)));
+    }
+
+    /// Records every byte it is given. Call `i` takes at most
+    /// `chunks[i % chunks.len()]` bytes (across slice boundaries), and
+    /// every `interrupt_every`th call fails with `Interrupted` (0 = never).
+    struct Scripted {
+        out: Vec<u8>,
+        calls: usize,
+        chunks: &'static [usize],
+        interrupt_every: usize,
+    }
+
+    impl Scripted {
+        fn new(chunks: &'static [usize], interrupt_every: usize) -> Self {
+            Scripted { out: Vec::new(), calls: 0, chunks, interrupt_every }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt_every != 0 && self.calls.is_multiple_of(self.interrupt_every) {
+                return Err(io::Error::from(io::ErrorKind::Interrupted));
+            }
+            let chunk = self.chunks[self.calls % self.chunks.len()];
+            let before = self.out.len();
+            for b in bufs {
+                let room = chunk - (self.out.len() - before);
+                self.out.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The layout the frame must keep on the wire: prefix, then body.
+    fn prefix_then_body(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call_when_the_writer_takes_it_all() {
+        for body in [&b""[..], b"x", &[7u8; 283], &[9u8; 70_000]] {
+            let mut w = Scripted::new(&[usize::MAX], 0);
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(w.calls, 1, "body of {} bytes", body.len());
+            assert_eq!(w.out, prefix_then_body(body));
+        }
+    }
+
+    #[test]
+    fn trickling_and_interrupted_writes_keep_the_exact_bytes() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let chunkings: [&'static [usize]; 4] = [&[1], &[2], &[3], &[1, 3, 2, 2, 3]];
+        for chunks in chunkings {
+            for interrupt_every in [0, 2, 3, 7] {
+                let mut w = Scripted::new(chunks, interrupt_every);
+                write_frame(&mut w, &body).unwrap();
+                assert_eq!(w.out, prefix_then_body(&body), "{chunks:?}, every {interrupt_every}");
+            }
+        }
+        let mut w = Scripted::new(&[1, 2, 3], 2);
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.out, prefix_then_body(b""));
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_write_zero() {
+        let mut w = Scripted::new(&[0], 0);
+        let err = write_frame(&mut w, b"hello").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(w.calls, 1);
     }
 }

@@ -199,9 +199,20 @@ impl std::fmt::Debug for Tenant {
     }
 }
 
+/// One name table per personality, indexed by [`slot`].
+type Tables = [HashMap<String, Arc<Tenant>>; 3];
+
+/// The table index of a personality's namespace.
+fn slot(personality: Personality) -> usize {
+    personality as usize
+}
+
 /// The server's tenant table: get-or-create by `(personality, name)`.
+///
+/// Each personality has its own name table, so a lookup borrows the
+/// request's name instead of building a `(personality, String)` key.
 pub struct TenantMap {
-    tenants: Mutex<HashMap<(Personality, String), Arc<Tenant>>>,
+    tenants: Mutex<Tables>,
     config: TenantConfig,
     registry: Option<Arc<Registry>>,
 }
@@ -210,12 +221,12 @@ impl TenantMap {
     /// An empty table; tenants created through it use `config`, and — when
     /// a registry is given — get a telemetry scope each.
     pub fn new(config: TenantConfig, registry: Option<Arc<Registry>>) -> Self {
-        TenantMap { tenants: Mutex::new(HashMap::new()), config, registry }
+        TenantMap { tenants: Mutex::new(Default::default()), config, registry }
     }
 
     /// Looks a tenant up without creating it.
     pub fn get(&self, personality: Personality, name: &str) -> Option<Arc<Tenant>> {
-        self.tenants.lock().get(&(personality, name.to_string())).cloned()
+        self.tenants.lock()[slot(personality)].get(name).cloned()
     }
 
     /// Returns the named tenant, creating it on first use; the bool is
@@ -233,23 +244,23 @@ impl TenantMap {
         limit: u64,
     ) -> Result<(Arc<Tenant>, bool), Response> {
         let mut tenants = self.tenants.lock();
-        if let Some(t) = tenants.get(&(personality, name.to_string())) {
+        if let Some(t) = tenants[slot(personality)].get(name) {
             return Ok((Arc::clone(t), false));
         }
-        if tenants.len() >= self.config.max_tenants {
+        if live(&tenants) >= self.config.max_tenants {
             return Err(Response::Error {
                 code: ErrorCode::TenantCapacity,
                 detail: format!("table full ({})", self.config.max_tenants),
             });
         }
         let tenant = Arc::new(self.build(personality, name, limit)?);
-        tenants.insert((personality, name.to_string()), Arc::clone(&tenant));
+        tenants[slot(personality)].insert(name.to_string(), Arc::clone(&tenant));
         Ok((tenant, true))
     }
 
     /// Every live tenant, in no particular order.
     pub fn all(&self) -> Vec<Arc<Tenant>> {
-        self.tenants.lock().values().cloned().collect()
+        self.tenants.lock().iter().flat_map(HashMap::values).cloned().collect()
     }
 
     fn scope_recorder(
@@ -303,9 +314,14 @@ impl TenantMap {
     }
 }
 
+/// Live tenants across all personalities (what `max_tenants` caps).
+fn live(tables: &Tables) -> usize {
+    tables.iter().map(HashMap::len).sum()
+}
+
 impl std::fmt::Debug for TenantMap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TenantMap").field("tenants", &self.tenants.lock().len()).finish()
+        f.debug_struct("TenantMap").field("tenants", &live(&self.tenants.lock())).finish()
     }
 }
 
@@ -390,6 +406,19 @@ mod tests {
         map.get_or_create(Personality::TaskQueue, "a", 0).unwrap();
         let err = map.get_or_create(Personality::TaskQueue, "b", 0).unwrap_err();
         assert!(matches!(err, Response::Error { code: ErrorCode::TenantCapacity, .. }));
+    }
+
+    #[test]
+    fn capacity_counts_every_personality() {
+        let map = TenantMap::new(TenantConfig { max_tenants: 2, ..TenantConfig::default() }, None);
+        map.get_or_create(Personality::TaskQueue, "a", 0).unwrap();
+        map.get_or_create(Personality::RateLimiter, "a", 5).unwrap();
+        // Re-creating an existing tenant still answers at capacity.
+        assert!(!map.get_or_create(Personality::RateLimiter, "a", 5).unwrap().1);
+        let err = map.get_or_create(Personality::ObjectPool, "a", 0).unwrap_err();
+        assert!(matches!(err, Response::Error { code: ErrorCode::TenantCapacity, .. }));
+        assert!(map.get(Personality::ObjectPool, "a").is_none());
+        assert_eq!(map.all().len(), 2);
     }
 
     #[test]

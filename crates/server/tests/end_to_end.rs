@@ -247,3 +247,36 @@ fn unknown_tenant_and_capacity_errors_are_typed() {
     drop(c);
     handle.shutdown().expect("graceful shutdown");
 }
+
+#[test]
+fn buffered_client_keeps_pipelined_and_single_calls_aligned() {
+    let handle = Server::spawn(fast_config()).expect("bind");
+    let mut c = Client::connect(handle.local_addr()).expect("connect");
+    let q = Personality::TaskQueue;
+    c.create(q, "jobs", 0).expect("create");
+    for round in 0..3u64 {
+        let base = round * 100;
+        let mut batch: Vec<Request> = (base..base + 16)
+            .map(|value| Request::Produce { personality: q, tenant: "jobs".into(), value })
+            .collect();
+        batch.extend((0..16).map(|_| Request::Consume { personality: q, tenant: "jobs".into() }));
+        let resps = c.call(&batch).expect("pipelined call");
+        assert_eq!(resps.len(), 32);
+        assert!(resps[..16].iter().all(|r| *r == Response::Done), "round {round}: {resps:?}");
+        let mut got: Vec<u64> = resps[16..]
+            .iter()
+            .map(|r| match r {
+                Response::Item { value } => *value,
+                other => panic!("round {round}: expected Item, got {other:?}"),
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, (base..base + 16).collect::<Vec<_>>());
+        // The next frame on the same connection must start exactly where
+        // the batch's response ended.
+        assert_eq!(c.consume(q, "jobs").expect("single call"), Response::Empty);
+        assert_eq!(c.ping().expect("ping"), Response::Pong);
+    }
+    drop(c);
+    handle.shutdown().expect("graceful shutdown");
+}
