@@ -422,6 +422,7 @@ impl Controller for ScriptedController {
 mod tests {
     use super::*;
     use crate::controller::AimdController;
+    use crossbeam_epoch::Collector;
     use stack2d::{Counter2D, Queue2D, Stack2D};
 
     fn p(w: usize, d: usize, s: usize) -> Params {
@@ -430,40 +431,47 @@ mod tests {
 
     #[test]
     fn tick_applies_script_and_logs_kinds() {
-        let stack: Stack2D<u32> =
-            Stack2D::builder().params(p(2, 1, 1)).elastic_capacity(16).build().unwrap();
-        let script = ScriptedController::new([
-            Some(p(8, 1, 1)), // grow
-            None,             // hold
-            Some(p(8, 2, 2)), // vertical
-            Some(p(4, 2, 2)), // shrink (tail empty, commits on later ticks)
-        ]);
-        let mut elastic = Elastic::new(&stack, script);
-        let ev = elastic.tick().expect("grow event");
-        assert_eq!(ev.kind, RetuneKind::Grow);
-        assert_eq!(ev.width, 8);
-        assert_eq!(ev.generation, 1);
-        assert!(elastic.tick().is_none(), "holds produce no event");
-        let ev = elastic.tick().expect("vertical event");
-        assert_eq!(ev.kind, RetuneKind::Vertical);
-        assert_eq!(ev.depth, 2);
-        let ev = elastic.tick().expect("shrink event");
-        assert_eq!(ev.kind, RetuneKind::Shrink);
-        assert_eq!(ev.width, 4);
-        // The shrink on an empty tail commits after a few more ticks.
-        let mut committed = None;
-        for _ in 0..64 {
-            if let Some(ev) = elastic.tick() {
-                committed = Some(ev);
-                break;
-            }
+        let domain = Collector::new();
+        // SAFETY: single-threaded: every structure this test pins on is
+        // created, used and dropped on this thread inside the scope.
+        unsafe {
+            domain.enter(|| {
+                let stack: Stack2D<u32> =
+                    Stack2D::builder().params(p(2, 1, 1)).elastic_capacity(16).build().unwrap();
+                let script = ScriptedController::new([
+                    Some(p(8, 1, 1)), // grow
+                    None,             // hold
+                    Some(p(8, 2, 2)), // vertical
+                    Some(p(4, 2, 2)), // shrink (tail empty, commits on later ticks)
+                ]);
+                let mut elastic = Elastic::new(&stack, script);
+                let ev = elastic.tick().expect("grow event");
+                assert_eq!(ev.kind, RetuneKind::Grow);
+                assert_eq!(ev.width, 8);
+                assert_eq!(ev.generation, 1);
+                assert!(elastic.tick().is_none(), "holds produce no event");
+                let ev = elastic.tick().expect("vertical event");
+                assert_eq!(ev.kind, RetuneKind::Vertical);
+                assert_eq!(ev.depth, 2);
+                let ev = elastic.tick().expect("shrink event");
+                assert_eq!(ev.kind, RetuneKind::Shrink);
+                assert_eq!(ev.width, 4);
+                // The shrink on an empty tail commits after a few more ticks.
+                let mut committed = None;
+                for _ in 0..64 {
+                    if let Some(ev) = elastic.tick() {
+                        committed = Some(ev);
+                        break;
+                    }
+                }
+                let ev = committed.expect("shrink must commit on an empty tail");
+                assert_eq!(ev.kind, RetuneKind::Commit);
+                assert_eq!(ev.pop_width, 4);
+                assert_eq!(elastic.events().len(), 4);
+                assert_eq!(stack.window().width(), 4);
+                assert!(!stack.window().pending_shrink());
+            })
         }
-        let ev = committed.expect("shrink must commit on an empty tail");
-        assert_eq!(ev.kind, RetuneKind::Commit);
-        assert_eq!(ev.pop_width, 4);
-        assert_eq!(elastic.events().len(), 4);
-        assert_eq!(stack.window().width(), 4);
-        assert!(!stack.window().pending_shrink());
     }
 
     #[test]
@@ -540,28 +548,35 @@ mod tests {
 
     #[test]
     fn commit_waits_for_tail_to_drain() {
-        let stack: Stack2D<u32> =
-            Stack2D::builder().params(p(8, 1, 1)).elastic_capacity(8).build().unwrap();
-        let mut h = stack.handle_seeded(1);
-        for i in 0..80 {
-            h.push(i);
+        let domain = Collector::new();
+        // SAFETY: single-threaded: every structure this test pins on is
+        // created, used and dropped on this thread inside the scope.
+        unsafe {
+            domain.enter(|| {
+                let stack: Stack2D<u32> =
+                    Stack2D::builder().params(p(8, 1, 1)).elastic_capacity(8).build().unwrap();
+                let mut h = stack.handle_seeded(1);
+                for i in 0..80 {
+                    h.push(i);
+                }
+                let mut elastic = Elastic::new(&stack, ScriptedController::new([Some(p(2, 1, 1))]));
+                elastic.tick();
+                for _ in 0..32 {
+                    assert!(elastic.tick().is_none(), "commit must wait for the tail");
+                }
+                while h.pop().is_some() {}
+                let mut committed = false;
+                for _ in 0..64 {
+                    if let Some(ev) = elastic.tick() {
+                        assert_eq!(ev.kind, RetuneKind::Commit);
+                        committed = true;
+                        break;
+                    }
+                }
+                assert!(committed, "drained tail must let the shrink commit");
+                assert_eq!(stack.k_bound(), p(2, 1, 1).k_bound());
+            })
         }
-        let mut elastic = Elastic::new(&stack, ScriptedController::new([Some(p(2, 1, 1))]));
-        elastic.tick();
-        for _ in 0..32 {
-            assert!(elastic.tick().is_none(), "commit must wait for the tail");
-        }
-        while h.pop().is_some() {}
-        let mut committed = false;
-        for _ in 0..64 {
-            if let Some(ev) = elastic.tick() {
-                assert_eq!(ev.kind, RetuneKind::Commit);
-                committed = true;
-                break;
-            }
-        }
-        assert!(committed, "drained tail must let the shrink commit");
-        assert_eq!(stack.k_bound(), p(2, 1, 1).k_bound());
     }
 
     #[test]
@@ -638,38 +653,45 @@ mod tests {
 
     #[test]
     fn scripted_driver_retunes_a_queue() {
-        let queue: Queue2D<u32> =
-            Queue2D::builder().params(p(2, 1, 1)).elastic_capacity(16).build().unwrap();
-        let script = ScriptedController::new([
-            Some(p(8, 1, 1)), // grow
-            Some(p(8, 2, 2)), // vertical
-            Some(p(4, 2, 2)), // shrink (tail empty, commits on later ticks)
-        ]);
-        let mut elastic = Elastic::new(&queue, script);
-        let ev = elastic.tick().expect("grow event");
-        assert_eq!(ev.kind, RetuneKind::Grow);
-        assert_eq!(ev.width, 8);
-        assert_eq!(queue.put_window().width(), 8, "both queue windows must move");
-        let ev = elastic.tick().expect("vertical event");
-        assert_eq!(ev.kind, RetuneKind::Vertical);
-        let ev = elastic.tick().expect("shrink event");
-        assert_eq!(ev.kind, RetuneKind::Shrink);
-        assert_eq!(ev.pop_width, 8, "dequeues keep covering the retired tail");
-        let committed = (0..64)
-            .find_map(|_| elastic.tick())
-            .expect("empty tail must let the queue shrink commit");
-        assert_eq!(committed.kind, RetuneKind::Commit);
-        assert_eq!(committed.pop_width, 4);
-        // The queue stays fully usable after the schedule.
-        let mut h = queue.handle_seeded(1);
-        for i in 0..100 {
-            h.enqueue(i);
+        let domain = Collector::new();
+        // SAFETY: single-threaded: every structure this test pins on is
+        // created, used and dropped on this thread inside the scope.
+        unsafe {
+            domain.enter(|| {
+                let queue: Queue2D<u32> =
+                    Queue2D::builder().params(p(2, 1, 1)).elastic_capacity(16).build().unwrap();
+                let script = ScriptedController::new([
+                    Some(p(8, 1, 1)), // grow
+                    Some(p(8, 2, 2)), // vertical
+                    Some(p(4, 2, 2)), // shrink (tail empty, commits on later ticks)
+                ]);
+                let mut elastic = Elastic::new(&queue, script);
+                let ev = elastic.tick().expect("grow event");
+                assert_eq!(ev.kind, RetuneKind::Grow);
+                assert_eq!(ev.width, 8);
+                assert_eq!(queue.put_window().width(), 8, "both queue windows must move");
+                let ev = elastic.tick().expect("vertical event");
+                assert_eq!(ev.kind, RetuneKind::Vertical);
+                let ev = elastic.tick().expect("shrink event");
+                assert_eq!(ev.kind, RetuneKind::Shrink);
+                assert_eq!(ev.pop_width, 8, "dequeues keep covering the retired tail");
+                let committed = (0..64)
+                    .find_map(|_| elastic.tick())
+                    .expect("empty tail must let the queue shrink commit");
+                assert_eq!(committed.kind, RetuneKind::Commit);
+                assert_eq!(committed.pop_width, 4);
+                // The queue stays fully usable after the schedule.
+                let mut h = queue.handle_seeded(1);
+                for i in 0..100 {
+                    h.enqueue(i);
+                }
+                let mut n = 0;
+                while h.dequeue().is_some() {
+                    n += 1;
+                }
+                assert_eq!(n, 100);
+            })
         }
-        let mut n = 0;
-        while h.dequeue().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 100);
     }
 
     #[test]

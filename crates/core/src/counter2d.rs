@@ -308,6 +308,7 @@ mod tests {
     use super::*;
     use crate::params::Params;
     use crate::sync::Arc;
+    use crossbeam_epoch::Collector;
 
     fn params(w: usize, d: usize, s: usize) -> Params {
         Params::new(w, d, s).unwrap()
@@ -425,29 +426,40 @@ mod tests {
 
     #[test]
     fn shrink_drains_retired_subcounters_and_conserves_value() {
-        let c = Counter2D::builder().params(params(8, 2, 1)).elastic_capacity(8).build().unwrap();
-        let mut h = c.handle_seeded(2);
-        for _ in 0..1_000 {
-            h.increment();
+        let domain = Collector::new();
+        // SAFETY: single-threaded: every structure this test pins on is
+        // created, used and dropped on this thread inside the scope.
+        unsafe {
+            domain.enter(|| {
+                let c = Counter2D::builder()
+                    .params(params(8, 2, 1))
+                    .elastic_capacity(8)
+                    .build()
+                    .unwrap();
+                let mut h = c.handle_seeded(2);
+                for _ in 0..1_000 {
+                    h.increment();
+                }
+                let info = c.retune(params(2, 2, 1)).unwrap();
+                assert!(info.pending_shrink());
+                assert_eq!(c.value(), 1_000, "pending shrink must not lose counts");
+                let committed = (0..64)
+                    .find_map(|_| c.try_commit_shrink())
+                    .expect("quiescent counter shrink must commit");
+                assert!(!committed.pending_shrink());
+                assert_eq!(c.value(), 1_000, "drain must conserve the value");
+                // Retired sub-counters are zeroed: the active profile carries no
+                // retirement residue and re-growing starts them from scratch.
+                assert_eq!(c.profile().len(), 2);
+                for (i, sub) in c.cells().subs.iter().enumerate().skip(2) {
+                    assert_eq!(sub.load(Ordering::Acquire), 0, "sub {i} not drained");
+                }
+                for _ in 0..100 {
+                    h.increment();
+                }
+                assert_eq!(c.value(), 1_100);
+            })
         }
-        let info = c.retune(params(2, 2, 1)).unwrap();
-        assert!(info.pending_shrink());
-        assert_eq!(c.value(), 1_000, "pending shrink must not lose counts");
-        let committed = (0..64)
-            .find_map(|_| c.try_commit_shrink())
-            .expect("quiescent counter shrink must commit");
-        assert!(!committed.pending_shrink());
-        assert_eq!(c.value(), 1_000, "drain must conserve the value");
-        // Retired sub-counters are zeroed: the active profile carries no
-        // retirement residue and re-growing starts them from scratch.
-        assert_eq!(c.profile().len(), 2);
-        for (i, sub) in c.cells().subs.iter().enumerate().skip(2) {
-            assert_eq!(sub.load(Ordering::Acquire), 0, "sub {i} not drained");
-        }
-        for _ in 0..100 {
-            h.increment();
-        }
-        assert_eq!(c.value(), 1_100);
     }
 
     #[test]

@@ -603,6 +603,7 @@ impl<T> QueueHandle<'_, T> {
 mod tests {
     use super::*;
     use crate::sync::Arc;
+    use crossbeam_epoch::Collector;
     use std::collections::HashSet;
 
     fn params(w: usize, d: usize, s: usize) -> Params {
@@ -793,33 +794,40 @@ mod tests {
 
     #[test]
     fn shrink_is_pending_until_tail_drains_then_commits() {
-        let q: Queue2D<u64> =
-            Queue2D::builder().params(params(8, 1, 1)).elastic_capacity(8).build().unwrap();
-        let mut h = q.handle_seeded(9);
-        for i in 0..200 {
-            h.enqueue(i);
+        let domain = Collector::new();
+        // SAFETY: single-threaded: every structure this test pins on is
+        // created, used and dropped on this thread inside the scope.
+        unsafe {
+            domain.enter(|| {
+                let q: Queue2D<u64> =
+                    Queue2D::builder().params(params(8, 1, 1)).elastic_capacity(8).build().unwrap();
+                let mut h = q.handle_seeded(9);
+                for i in 0..200 {
+                    h.enqueue(i);
+                }
+                let info = q.retune(params(2, 1, 1)).unwrap();
+                assert!(info.pending_shrink(), "items in the tail: shrink must be pending");
+                assert_eq!(info.width(), 2);
+                assert_eq!(info.pop_width(), 8);
+                // Enqueues stop entering the tail immediately.
+                assert_eq!(q.put_window().pop_width(), 2);
+                // The bound stays at the wide value while dequeues cover 8
+                // sub-queues.
+                assert_eq!(info.k_bound(), params(8, 1, 1).k_bound());
+                // Every item is still reachable.
+                let mut seen = HashSet::new();
+                while let Some(v) = h.dequeue() {
+                    assert!(seen.insert(v), "duplicate {v}");
+                }
+                assert_eq!(seen.len(), 200, "no item may be stranded by a shrink");
+                let committed = (0..64)
+                    .find_map(|_| q.try_commit_shrink())
+                    .expect("drained tail must let the shrink commit");
+                assert_eq!(committed.pop_width(), 2);
+                assert!(!committed.pending_shrink());
+                assert_eq!(q.k_bound(), params(2, 1, 1).k_bound());
+            })
         }
-        let info = q.retune(params(2, 1, 1)).unwrap();
-        assert!(info.pending_shrink(), "items in the tail: shrink must be pending");
-        assert_eq!(info.width(), 2);
-        assert_eq!(info.pop_width(), 8);
-        // Enqueues stop entering the tail immediately.
-        assert_eq!(q.put_window().pop_width(), 2);
-        // The bound stays at the wide value while dequeues cover 8
-        // sub-queues.
-        assert_eq!(info.k_bound(), params(8, 1, 1).k_bound());
-        // Every item is still reachable.
-        let mut seen = HashSet::new();
-        while let Some(v) = h.dequeue() {
-            assert!(seen.insert(v), "duplicate {v}");
-        }
-        assert_eq!(seen.len(), 200, "no item may be stranded by a shrink");
-        let committed = (0..64)
-            .find_map(|_| q.try_commit_shrink())
-            .expect("drained tail must let the shrink commit");
-        assert_eq!(committed.pop_width(), 2);
-        assert!(!committed.pending_shrink());
-        assert_eq!(q.k_bound(), params(2, 1, 1).k_bound());
     }
 
     #[test]

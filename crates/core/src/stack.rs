@@ -470,6 +470,7 @@ mod tests {
     use crate::sync::atomic::{AtomicBool, Ordering};
     use crate::sync::Arc;
     use crate::traits::{OpsHandle, RelaxedOps};
+    use crossbeam_epoch::Collector;
     use std::collections::HashSet;
 
     fn params(w: usize, d: usize, s: usize) -> Params {
@@ -871,29 +872,36 @@ mod tests {
 
     #[test]
     fn shrink_is_pending_until_tail_drains_then_commits() {
-        let stack: Stack2D<u64> =
-            Stack2D::builder().params(params(8, 1, 1)).elastic_capacity(8).build().unwrap();
-        let mut h = stack.handle_seeded(9);
-        for i in 0..200 {
-            h.push(i);
+        let domain = Collector::new();
+        // SAFETY: single-threaded: every structure this test pins on is
+        // created, used and dropped on this thread inside the scope.
+        unsafe {
+            domain.enter(|| {
+                let stack: Stack2D<u64> =
+                    Stack2D::builder().params(params(8, 1, 1)).elastic_capacity(8).build().unwrap();
+                let mut h = stack.handle_seeded(9);
+                for i in 0..200 {
+                    h.push(i);
+                }
+                let info = stack.retune(params(2, 1, 1)).unwrap();
+                assert!(info.pending_shrink(), "items in the tail: shrink must be pending");
+                assert_eq!(info.width(), 2);
+                assert_eq!(info.pop_width(), 8);
+                // The bound stays at the wide value while pops still cover 8
+                // sub-stacks.
+                assert_eq!(info.k_bound(), params(8, 1, 1).k_bound());
+                // Every item is still reachable.
+                let mut seen = HashSet::new();
+                while let Some(v) = h.pop() {
+                    assert!(seen.insert(v), "duplicate {v}");
+                }
+                assert_eq!(seen.len(), 200, "no item may be stranded by a shrink");
+                let committed = commit_shrink_eventually(&stack);
+                assert_eq!(committed.pop_width(), 2);
+                assert!(!committed.pending_shrink());
+                assert_eq!(stack.k_bound(), params(2, 1, 1).k_bound());
+            })
         }
-        let info = stack.retune(params(2, 1, 1)).unwrap();
-        assert!(info.pending_shrink(), "items in the tail: shrink must be pending");
-        assert_eq!(info.width(), 2);
-        assert_eq!(info.pop_width(), 8);
-        // The bound stays at the wide value while pops still cover 8
-        // sub-stacks.
-        assert_eq!(info.k_bound(), params(8, 1, 1).k_bound());
-        // Every item is still reachable.
-        let mut seen = HashSet::new();
-        while let Some(v) = h.pop() {
-            assert!(seen.insert(v), "duplicate {v}");
-        }
-        assert_eq!(seen.len(), 200, "no item may be stranded by a shrink");
-        let committed = commit_shrink_eventually(&stack);
-        assert_eq!(committed.pop_width(), 2);
-        assert!(!committed.pending_shrink());
-        assert_eq!(stack.k_bound(), params(2, 1, 1).k_bound());
     }
 
     #[test]

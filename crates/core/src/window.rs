@@ -495,6 +495,7 @@ impl std::error::Error for RetuneError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam_epoch::Collector;
 
     #[test]
     fn initial_descriptor_mirrors_params() {
@@ -596,23 +597,30 @@ mod tests {
 
     #[test]
     fn elastic_window_commit_consults_tail_clear() {
-        let w = ElasticWindow::new(Params::new(4, 1, 1).unwrap());
-        w.retune(Params::new(1, 1, 1).unwrap(), 4).unwrap();
-        // Drive the fence; once it trips, a refusing sweep blocks commit.
-        let mut asked = None;
-        for _ in 0..64 {
-            assert!(w
-                .try_commit_shrink(|range, _| {
-                    asked = Some(range.clone());
-                    false
-                })
-                .is_none());
+        let domain = Collector::new();
+        // SAFETY: single-threaded: every structure this test pins on is
+        // created, used and dropped on this thread inside the scope.
+        unsafe {
+            domain.enter(|| {
+                let w = ElasticWindow::new(Params::new(4, 1, 1).unwrap());
+                w.retune(Params::new(1, 1, 1).unwrap(), 4).unwrap();
+                // Drive the fence; once it trips, a refusing sweep blocks commit.
+                let mut asked = None;
+                for _ in 0..64 {
+                    assert!(w
+                        .try_commit_shrink(|range, _| {
+                            asked = Some(range.clone());
+                            false
+                        })
+                        .is_none());
+                }
+                assert_eq!(asked, Some(1..4), "sweep must cover the retired tail");
+                let info = (0..64)
+                    .find_map(|_| w.try_commit_shrink(|_, _| true))
+                    .expect("agreeing sweep must let the shrink commit");
+                assert_eq!(info.pop_width(), 1);
+                assert!(!info.pending_shrink());
+            })
         }
-        assert_eq!(asked, Some(1..4), "sweep must cover the retired tail");
-        let info = (0..64)
-            .find_map(|_| w.try_commit_shrink(|_, _| true))
-            .expect("agreeing sweep must let the shrink commit");
-        assert_eq!(info.pop_width(), 1);
-        assert!(!info.pending_shrink());
     }
 }
