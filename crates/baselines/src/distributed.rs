@@ -211,8 +211,8 @@ impl<T: Send> RelaxedOps<T> for RandomStack<T> {
 /// Choice-of-two scheduling: sample two sub-stacks, push to the shorter and
 /// pop from the longer.
 ///
-/// Item counts are the hotness signal (the only totally-ordered one a stack
-/// descriptor exposes); this mirrors the MultiQueue policy the paper cites
+/// Item counts are the hotness signal (the only totally-ordered one a
+/// sub-stack view exposes); this mirrors the MultiQueue policy the paper cites
 /// as `random-c2`.
 pub struct RandomC2Stack<T> {
     arr: SubArray<T>,
@@ -718,7 +718,7 @@ mod tests {
             churn(KRobinStack::new(4, threads), threads);
         }
         // Debug builds meter the pool: the baselines' sub-stacks must draw
-        // their nodes and descriptors from it, as the 2D-Stack's do.
+        // their nodes from it, as the 2D-Stack's do.
         if cfg!(debug_assertions) {
             let after = stack2d::pool_stats();
             assert!(after.reused > before.reused, "no pool reuse: {before:?} -> {after:?}");

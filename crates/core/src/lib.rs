@@ -77,7 +77,7 @@
 //!   `Window2D` over their cells);
 //! * [`stack`] / [`Stack2D`] — the 2D window algorithm's stack cells and
 //!   push/pop vocabulary;
-//! * [`substack`] — the descriptor-based lock-free sub-stack (public because
+//! * [`substack`] — the counted lock-free sub-stack (public because
 //!   the paper's `random` / `random-c2` / `k-robin` baselines in
 //!   `stack2d-baselines` are built from the same block);
 //! * [`search`] — the two-phase search policy, its ablation variants and
@@ -106,11 +106,12 @@
 //!
 //! ## Memory reclamation
 //!
-//! The paper updates each sub-stack's `(top, count)` descriptor with a
-//! 16-byte compare-and-exchange. This crate realizes the same atomicity by
-//! swinging a descriptor *pointer* with a single-word CAS and retiring
-//! displaced descriptors and nodes through epoch-based reclamation
-//! (`crossbeam-epoch`); see `DESIGN.md` for the full substitution argument.
+//! The paper updates each sub-stack's `(top, count)` pair with a 16-byte
+//! compare-and-exchange. This crate stores the count in each node (written
+//! before the node is published, immutable afterwards), so a single-word
+//! CAS on the top pointer updates both; popped nodes are retired through
+//! epoch-based reclamation (`crossbeam-epoch`), which also rules out ABA on
+//! the top pointer. See `DESIGN.md` §3 for the full substitution argument.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

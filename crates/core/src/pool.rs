@@ -1,11 +1,12 @@
 //! Per-thread node pools: epoch-recycled storage for hot-path allocations.
 //!
-//! Every op on a descriptor-swinging structure allocates (a fresh
-//! `Descriptor`, and on push a node) and retires the displaced blocks
-//! through epoch reclamation. With a plain `Box` path that would be one
-//! `malloc` + one `free` per block per op — measurably the dominant cost of
-//! an uncontended push/pop pair (see EXPERIMENTS.md, BENCH_9→10). This
-//! module replaces the allocator round-trip with a **layout-keyed
+//! Every push on a `SubStack` or `Queue2D` sub-queue allocates a node, and
+//! every pop retires the unlinked node through epoch reclamation. With a
+//! plain `Box` path that would be one `malloc` + one `free` per op pair —
+//! measurably a large share of an uncontended push/pop pair (see
+//! EXPERIMENTS.md, BENCH_9→10; a no-pool variant of the counted sub-stack
+//! still measured ~5% lower `inproc_mix` stack throughput). This module
+//! replaces the allocator round-trip with a **layout-keyed
 //! thread-local freelist**:
 //!
 //! * [`alloc`] pops a cached block of the exact layout (falling back to the
@@ -39,8 +40,8 @@ use core::cell::Cell;
 use core::ptr;
 
 /// Maximum cached blocks per layout class per thread. Enough to absorb the
-/// descriptor + node churn of a tight op loop; small enough that a thread
-/// parks at most a few KiB per class.
+/// node churn of a tight op loop; small enough that a thread parks at most
+/// a few KiB per class.
 const SHARD_CAP: usize = 128;
 
 /// Maximum distinct layout classes per thread (a process using the stack,

@@ -1,16 +1,17 @@
-//! Descriptor-based lock-free sub-stack — the building block of the 2D-Stack.
+//! Counted lock-free sub-stack — the building block of the 2D-Stack.
 //!
-//! Each sub-stack is a Treiber-style linked list governed by a single
-//! **descriptor** holding the top-of-stack pointer *and* the item count.
-//! The paper updates the two fields together with a 16-byte
-//! compare-and-exchange (`CAE`, i.e. `cmpxchg16b`); stable Rust has no
-//! 128-bit atomic, so this implementation realizes the identical atomicity
-//! guarantee by *descriptor swinging*: the descriptor lives behind an
-//! [`Atomic`] pointer, every update allocates a fresh descriptor and installs
-//! it with a single-word CAS, and the displaced descriptor is reclaimed
-//! through epoch-based reclamation (`crossbeam-epoch`). Readers therefore
-//! always observe a mutually consistent `(top, count)` pair, exactly as with
-//! `CAE` — see DESIGN.md §3 for the substitution rationale.
+//! Each sub-stack is a Treiber stack whose nodes carry the item count:
+//! a node's `count` is `next.count + 1`, written before the CAS that
+//! publishes it and never changed afterwards. The paper (§3) keeps the
+//! `(top, count)` pair in one descriptor updated with a 16-byte
+//! compare-and-exchange (`CAE`); here the count lives in the top node
+//! itself, so a single-word CAS on the top pointer updates both, and a
+//! reader always observes a consistent pair — the count is whatever the
+//! node it loaded says. A pop retires only the node it unlinked, through
+//! epoch-based reclamation (`crossbeam-epoch`), which is also what rules
+//! out ABA: a node recycles only after every guard that could have seen
+//! it is gone, so a pinned reader's top is never reused under it. See
+//! DESIGN.md §3.
 //!
 //! The sub-stack is exposed publicly because the distribution baselines
 //! (`random`, `random-c2`, `k-robin` in `stack2d-baselines`) are built from
@@ -21,32 +22,21 @@ use core::fmt;
 use core::mem::ManuallyDrop;
 use core::ptr;
 
-use crossbeam_epoch::{Atomic, Guard, Owned, Pointer, Shared};
+use crossbeam_epoch::{Atomic, Guard, Shared};
 
 use crate::pool;
 
 /// A node of the intrusive linked list that stores one item.
 ///
-/// Nodes are immutable once published: `next` is written before the CAS that
-/// makes the node reachable and never changes afterwards, so readers holding
-/// an epoch guard may dereference it freely.
+/// Nodes are immutable once published: `next` and `count` (the number of
+/// items from this node down, `next.count + 1`) are written before the CAS
+/// that makes the node reachable and never change afterwards, so readers
+/// holding an epoch guard may read them freely.
 pub(crate) struct Node<T> {
     value: ManuallyDrop<T>,
     next: *const Node<T>,
-}
-
-/// The per-sub-stack descriptor of the paper (§3): the topmost-item pointer
-/// and the item counter, always updated in one atomic step.
-pub(crate) struct Descriptor<T> {
-    top: *const Node<T>,
     count: usize,
 }
-
-// SAFETY: raw pointers poison auto-traits; the descriptor only *refers* to
-// nodes that carry `T`, so the usual container bounds apply.
-unsafe impl<T: Send> Send for Descriptor<T> {}
-// SAFETY: as above — the descriptor itself holds no thread-affine state.
-unsafe impl<T: Send> Sync for Descriptor<T> {}
 
 /// A value boxed into a list node *before* knowing which sub-stack will take
 /// it.
@@ -83,7 +73,8 @@ impl<T> PreparedNode<T> {
     /// paths ([`PreparedNode::into_value`], `Drop`) stay the plain boxed
     /// ones.
     pub fn new(value: T) -> Self {
-        let raw = pool::alloc(Node { value: ManuallyDrop::new(value), next: ptr::null() });
+        let raw =
+            pool::alloc(Node { value: ManuallyDrop::new(value), next: ptr::null(), count: 0 });
         PreparedNode { raw }
     }
 
@@ -119,21 +110,20 @@ impl<T> fmt::Debug for PreparedNode<T> {
     }
 }
 
-/// A consistent snapshot of a sub-stack's descriptor: the `(top, count)`
-/// pair observed in one atomic load.
+/// A consistent snapshot of a sub-stack: the top pointer observed in one
+/// atomic load, plus the count that top node carries.
 ///
-/// All `try_*_at` operations CAS against the exact descriptor captured here,
-/// so a stale view can never be applied — the CAS fails instead and the
-/// caller re-probes, which is precisely the contention signal the 2D-Stack's
+/// All `try_*_at` operations CAS against the exact top captured here, so a
+/// stale view can never be applied — the CAS fails instead and the caller
+/// re-probes, which is precisely the contention signal the 2D-Stack's
 /// search policy reacts to.
-pub struct DescView<'g, T> {
-    desc: Shared<'g, Descriptor<T>>,
+pub struct TopView<'g, T> {
+    top: Shared<'g, Node<T>>,
     count: usize,
-    empty: bool,
 }
 
-impl<'g, T> DescView<'g, T> {
-    /// The item count recorded in the descriptor.
+impl<'g, T> TopView<'g, T> {
+    /// The item count carried by the observed top node (0 when empty).
     #[inline]
     pub fn count(&self) -> usize {
         self.count
@@ -142,13 +132,13 @@ impl<'g, T> DescView<'g, T> {
     /// Whether the sub-stack was empty at snapshot time.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.empty
+        self.top.is_null()
     }
 }
 
-impl<T> fmt::Debug for DescView<'_, T> {
+impl<T> fmt::Debug for TopView<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DescView").field("count", &self.count).field("empty", &self.empty).finish()
+        f.debug_struct("TopView").field("count", &self.count).finish()
     }
 }
 
@@ -166,7 +156,7 @@ pub struct Contended<P>(pub P);
 /// retry loops — used by the `random`/`random-c2`/`k-robin` baselines) and
 /// single-attempt use against a validated snapshot (the `try_*_at` family —
 /// used by the 2D window logic, which must check the count against `Global`
-/// and apply the operation on the *same* descriptor).
+/// and apply the operation on the *same* top).
 ///
 /// # Examples
 ///
@@ -182,42 +172,32 @@ pub struct Contended<P>(pub P);
 /// assert_eq!(s.pop(), None);
 /// ```
 pub struct SubStack<T> {
-    desc: Atomic<Descriptor<T>>,
+    top: Atomic<Node<T>>,
 }
 
 // SAFETY: the stack owns its nodes and hands values across threads only by
 // moving them out, so `T: Send` is the full requirement (same bounds as a
 // `Mutex<Vec<T>>`; the raw pointers are what suppress the auto-impl).
 unsafe impl<T: Send> Send for SubStack<T> {}
-// SAFETY: as above — shared access is mediated by the descriptor CAS.
+// SAFETY: as above — shared access is mediated by the top-pointer CAS.
 unsafe impl<T: Send> Sync for SubStack<T> {}
 
 impl<T> SubStack<T> {
-    /// Creates an empty sub-stack (descriptor `{top: null, count: 0}`).
-    /// Its descriptors and nodes are allocated from, and retired back to,
-    /// the thread-local node pool (`pool.rs`).
+    /// Creates an empty sub-stack (null top, count 0). Its nodes are
+    /// allocated from, and retired back to, the thread-local node pool
+    /// (`pool.rs`).
     pub fn new() -> Self {
-        SubStack { desc: Atomic::new(Descriptor { top: ptr::null(), count: 0 }) }
-    }
-
-    /// Allocates a descriptor from the node pool; the block is
-    /// `Box`-compatible.
-    #[inline]
-    fn alloc_desc(desc: Descriptor<T>) -> Owned<Descriptor<T>> {
-        // SAFETY: `pool::alloc` returns a unique, Box-compatible
-        // allocation owned by no one else.
-        unsafe { Owned::from_raw_ptr(pool::alloc(desc)) }
+        SubStack { top: Atomic::null() }
     }
 
     /// Takes a consistent `(top, count)` snapshot.
     #[inline]
-    pub fn view<'g>(&self, guard: &'g Guard) -> DescView<'g, T> {
-        let desc = self.desc.load(Ordering::Acquire, guard);
-        // SAFETY: the descriptor pointer is never null (construction installs
-        // one and every CAS replaces it with another), and the epoch guard
-        // keeps the loaded descriptor alive.
-        let d = unsafe { desc.deref() };
-        DescView { desc, count: d.count, empty: d.top.is_null() }
+    pub fn view<'g>(&self, guard: &'g Guard) -> TopView<'g, T> {
+        let top = self.top.load(Ordering::Acquire, guard);
+        // SAFETY: the epoch guard keeps the loaded node alive, and its
+        // `count` was written before the CAS that published it.
+        let count = unsafe { top.as_ref() }.map_or(0, |n| n.count);
+        TopView { top, count }
     }
 
     /// The item count at this instant (a fresh snapshot's count).
@@ -236,37 +216,31 @@ impl<T> SubStack<T> {
     /// Attempts one push of `node` against the snapshot `view`.
     ///
     /// Returns the node back inside [`Contended`] if another thread won the
-    /// descriptor CAS in between — the 2D search policy responds to that
-    /// with a random hop (§3: contention avoidance).
+    /// top CAS in between — the 2D search policy responds to that with a
+    /// random hop (§3: contention avoidance).
     ///
     /// # Errors
     ///
-    /// [`Contended`] when the descriptor changed since `view` was taken.
+    /// [`Contended`] when the top changed since `view` was taken.
     pub fn try_push_at<'g>(
         &self,
-        view: &DescView<'g, T>,
+        view: &TopView<'g, T>,
         node: PreparedNode<T>,
         guard: &'g Guard,
     ) -> Result<(), Contended<PreparedNode<T>>> {
-        // SAFETY: `view` was taken under `guard`, which pins the epoch the
-        // descriptor was reachable in.
-        let old = unsafe { view.desc.deref() };
-        // SAFETY: link the node in front of the current top — the node is
-        // private until the CAS below succeeds, so the plain write cannot
-        // race.
-        unsafe { (*node.raw).next = old.top };
-        let new = Self::alloc_desc(Descriptor { top: node.raw as *const _, count: old.count + 1 });
-        match self.desc.compare_exchange(view.desc, new, Ordering::AcqRel, Ordering::Acquire, guard)
-        {
+        // SAFETY: link the node in front of the observed top and stamp its
+        // count — the node is private until the CAS below succeeds, so the
+        // plain writes cannot race, and the CAS succeeds only if the top is
+        // still the node whose count the view carries.
+        unsafe {
+            (*node.raw).next = view.top.as_raw();
+            (*node.raw).count = view.count + 1;
+        }
+        let new = Shared::from(node.raw as *const Node<T>);
+        match self.top.compare_exchange(view.top, new, Ordering::AcqRel, Ordering::Acquire, guard) {
             Ok(_) => {
                 // The node is now owned by the list; forget the handle.
                 core::mem::forget(node);
-                // SAFETY: our CAS unlinked the displaced descriptor, and only
-                // the CAS winner retires it; concurrent snapshot holders are
-                // protected by their own guards until reclamation.
-                // Descriptors carry no drop glue, so recycling their storage
-                // is complete reclamation.
-                unsafe { guard.defer_destroy_with(view.desc, pool::recycle::<Descriptor<T>>) };
                 Ok(())
             }
             Err(_) => Err(Contended(node)),
@@ -280,44 +254,30 @@ impl<T> SubStack<T> {
     ///
     /// # Errors
     ///
-    /// [`Contended`] when the descriptor changed since `view` was taken.
+    /// [`Contended`] when the top changed since `view` was taken.
     pub fn try_pop_at<'g>(
         &self,
-        view: &DescView<'g, T>,
+        view: &TopView<'g, T>,
         guard: &'g Guard,
     ) -> Result<Option<T>, Contended<()>> {
-        // SAFETY: `view` was taken under `guard`, which pins the epoch the
-        // descriptor was reachable in.
-        let old = unsafe { view.desc.deref() };
-        if old.top.is_null() {
-            debug_assert_eq!(old.count, 0, "descriptor invariant: null top implies count 0");
+        // SAFETY: `view` was taken under `guard`, which keeps every node
+        // that was reachable at snapshot time alive.
+        let Some(top) = (unsafe { view.top.as_ref() }) else {
+            debug_assert_eq!(view.count, 0, "null top implies count 0");
             return Ok(None);
-        }
-        // SAFETY: the epoch guard keeps every node that was reachable at
-        // snapshot time alive, and `top` was non-null above.
-        let top = unsafe { &*old.top };
-        let new = Self::alloc_desc(Descriptor { top: top.next, count: old.count - 1 });
-        match self.desc.compare_exchange(view.desc, new, Ordering::AcqRel, Ordering::Acquire, guard)
+        };
+        let next = Shared::from(top.next);
+        match self.top.compare_exchange(view.top, next, Ordering::AcqRel, Ordering::Acquire, guard)
         {
             Ok(_) => {
                 // SAFETY: we won the pop CAS, so we hold the unique right to
                 // consume this node's value; `value` is `ManuallyDrop`, so
-                // the deferred node deallocation won't double-drop it.
+                // the deferred node reclamation won't double-drop it.
                 let value = unsafe { ptr::read(&*top.value) };
-                // Node and descriptor were unlinked by the same CAS, so
-                // they are retired as a pair: one epoch fence instead of
-                // two. Both reclaims are storage-only — the node's value
-                // was consumed above and descriptors carry no drop glue.
-                // SAFETY: the CAS unlinked both the node and the displaced
-                // descriptor; only the winner retires them, exactly once.
-                unsafe {
-                    guard.defer_destroy_pair_with(
-                        Shared::from(old.top),
-                        pool::recycle::<Node<T>>,
-                        view.desc,
-                        pool::recycle::<Descriptor<T>>,
-                    );
-                }
+                // SAFETY: our CAS unlinked the node and only the winner
+                // retires it, exactly once. The reclaim is storage-only —
+                // the value was consumed above.
+                unsafe { guard.defer_destroy_with(view.top, pool::recycle::<Node<T>>) };
                 Ok(Some(value))
             }
             Err(_) => Err(Contended(())),
@@ -370,14 +330,12 @@ impl<T> Drop for SubStack<T> {
         // still in the list) is sound.
         unsafe {
             let guard = crossbeam_epoch::unprotected();
-            let desc = self.desc.load(Ordering::Relaxed, guard);
-            let mut cur = desc.deref().top;
+            let mut cur = self.top.load(Ordering::Relaxed, guard).as_raw();
             while !cur.is_null() {
                 let mut boxed = Box::from_raw(cur as *mut Node<T>);
                 ManuallyDrop::drop(&mut boxed.value);
                 cur = boxed.next;
             }
-            drop(desc.into_owned());
         }
     }
 }
@@ -444,6 +402,20 @@ mod tests {
         let stale = s.view(&guard);
         s.push(2);
         assert!(s.try_pop_at(&stale, &guard).is_err());
+        // ABA: pop the viewed top itself and push a fresh value in its
+        // place. Recycled at once, the popped node would be the very block
+        // the pool hands that push, and the stale top would match again; the
+        // held guard keeps it out of the pool, so both stale CASes fail.
+        assert_eq!(s.pop(), Some(2));
+        assert_eq!(s.pop(), Some(1));
+        guard.flush();
+        s.push(10);
+        assert!(matches!(s.try_pop_at(&stale, &guard), Err(Contended(()))));
+        let Err(Contended(n)) = s.try_push_at(&stale, PreparedNode::new(99), &guard) else {
+            panic!("a stale view must not be applied once its top was popped");
+        };
+        assert_eq!(n.into_value(), 99);
+        assert_eq!(s.pop(), Some(10));
     }
 
     #[test]
@@ -550,8 +522,8 @@ mod tests {
         for _ in 0..1_000 {
             let guard = crossbeam_epoch::pin();
             let v = s.view(&guard);
-            // count and emptiness always agree because they come from one
-            // descriptor.
+            // count and emptiness always agree because both come from one
+            // top load.
             assert_eq!(v.count() == 0, v.is_empty());
         }
         stop.store(1, AOrd::SeqCst);

@@ -1,13 +1,15 @@
 //! Per-connection service loop: frames in, batches executed, frames out.
 //!
 //! Each accepted socket gets one OS thread running [`serve_connection`].
-//! A request batch is executed in two passes: the first resolves every
-//! request against the tenant table (producing either an immediate
-//! response or a pending structure op holding its `Arc<Tenant>`), the
-//! second drives the pending ops through per-tenant [`OpsHandle`]s that
-//! are created at most once per frame and seeded with the connection id —
-//! so a connection replays a deterministic locality/hop sequence on every
-//! tenant it touches, batch after batch.
+//! A request batch is executed in two passes: the first only resolves
+//! tenant names (creating tenants, and answering requests that need no
+//! tenant or name a missing one), the second runs every tenant op —
+//! structure ops, limiter acquire/reset and stats — in request order, so
+//! a frame behaves like its requests sent one at a time. Structure ops
+//! go through per-tenant [`OpsHandle`]s that are created at most once per
+//! frame and seeded with the connection id — so a connection replays a
+//! deterministic locality/hop sequence on every tenant it touches, batch
+//! after batch.
 //!
 //! Failure policy (exercised by `tests/protocol_fuzz.rs`): a frame that
 //! does not decode is answered with one typed `Malformed` error and the
@@ -87,12 +89,14 @@ pub(crate) fn serve_connection(stream: TcpStream, ctx: ConnContext) {
 }
 
 /// A request after tenant resolution: either already answered, or a
-/// structure op pending handle execution.
+/// tenant op pending execution in request order.
 enum Slot {
     Ready(Response),
     Produce(Arc<Tenant>, u64),
     Consume(Arc<Tenant>),
     Acquire(Arc<Tenant>, u32),
+    Reset(Arc<Tenant>),
+    Stats(Arc<Tenant>),
 }
 
 fn unknown(personality: Personality, tenant: &str) -> Response {
@@ -146,15 +150,11 @@ fn resolve(tenants: &TenantMap, req: &Request, shutdown: &mut bool) -> Slot {
             }
         }
         Request::Reset { tenant } => match tenants.get(Personality::RateLimiter, tenant) {
-            Some(t) if t.limiter_reset() => Slot::Ready(Response::Done),
-            Some(_) => Slot::Ready(Response::Error {
-                code: ErrorCode::Unsupported,
-                detail: "reset is rate-limiter only".to_string(),
-            }),
+            Some(t) => Slot::Reset(t),
             None => Slot::Ready(unknown(Personality::RateLimiter, tenant)),
         },
         Request::Stats { personality, tenant } => match tenants.get(*personality, tenant) {
-            Some(t) => Slot::Ready(t.stats()),
+            Some(t) => Slot::Stats(t),
             None => Slot::Ready(unknown(*personality, tenant)),
         },
     }
@@ -226,6 +226,12 @@ pub(crate) fn execute_batch(
                     detail: "not a rate-limiter".to_string(),
                 })
             }
+            Slot::Reset(t) if t.limiter_reset() => Response::Done,
+            Slot::Reset(_) => Response::Error {
+                code: ErrorCode::Unsupported,
+                detail: "reset is rate-limiter only".to_string(),
+            },
+            Slot::Stats(t) => t.stats(),
         };
         out.push(resp);
         i += 1;
@@ -347,6 +353,8 @@ mod tests {
                 Request::Acquire { tenant: "api".into(), cost: 3 },
                 Request::Acquire { tenant: "api".into(), cost: 0 },
                 Request::Acquire { tenant: "api".into(), cost: 5 },
+                // Runs after the acquires before it, as if sent alone.
+                Request::Stats { personality: Personality::RateLimiter, tenant: "api".into() },
             ],
         );
         assert_eq!(resps[3], Response::Decision { allowed: true, observed: 8, limit: 100 });
@@ -354,9 +362,13 @@ mod tests {
             &map,
             &[Request::Stats { personality: Personality::RateLimiter, tenant: "api".into() }],
         );
-        match &stats[0] {
-            Response::Stats { ops, .. } => assert_eq!(*ops, 8, "one op per hit, none for cost 0"),
-            other => panic!("expected Stats, got {other:?}"),
+        for resp in [&resps[4], &stats[0]] {
+            match resp {
+                Response::Stats { ops, .. } => {
+                    assert_eq!(*ops, 8, "one op per hit, none for cost 0")
+                }
+                other => panic!("expected Stats, got {other:?}"),
+            }
         }
     }
 
@@ -414,6 +426,30 @@ mod tests {
                 Response::Empty,
             ]
         );
+    }
+
+    #[test]
+    fn reset_runs_between_the_acquires_around_it() {
+        let map = map();
+        run(
+            &map,
+            &[Request::Create {
+                personality: Personality::RateLimiter,
+                tenant: "api".into(),
+                limit: 4,
+            }],
+        );
+        let resps = run(
+            &map,
+            &[
+                Request::Acquire { tenant: "api".into(), cost: 5 },
+                Request::Reset { tenant: "api".into() },
+                Request::Acquire { tenant: "api".into(), cost: 1 },
+            ],
+        );
+        assert_eq!(resps[0], Response::Decision { allowed: false, observed: 5, limit: 4 });
+        assert_eq!(resps[1], Response::Done);
+        assert_eq!(resps[2], Response::Decision { allowed: true, observed: 1, limit: 4 });
     }
 
     #[test]
